@@ -13,9 +13,11 @@ q-congruences keep every unit's class tangible, the l-congruences have
 a multiplicatively closed iT, and the nu-primes additionally forbid
 ghost products of non-ghost factors.
 
-Enumeration is exhaustive over set partitions, so every operation that
-needs the full congruence lattice (radicals, maximality flags, spectra)
-is exact but gated by a size bound.
+The full congruence lattice (radicals, maximality flags, spectra) is
+built from the principal congruences Cg(a, b), each a worklist closure
+over union-find, closed under joins.  Its cost grows with the number of
+congruences rather than with the number of set partitions; it stays
+exact and is still gated by a size bound.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ from .core import (
 from .errors import BoundError, ParseError, PreconditionError
 
 DEFAULT_BOUND = 7
+# entries kept per carrier-keyed cache; carriers come and go in a
+# long-lived process, so the caches must not grow without limit
+_CACHE_SIZE = 16
 
 FLAG_Q = "QCong"
 FLAG_L = "LCong"
@@ -365,7 +370,7 @@ def require_valid(R: FiniteNuSemiring) -> None:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _validate_cached(R: FiniteNuSemiring) -> ValidationReport:
     return validate(R)
 
@@ -441,19 +446,29 @@ class Congruence:
         )
 
 
-def _canonical_reps(parent: list[int]) -> tuple[int, ...]:
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+def _find(parent: list[int], i: int) -> int:
+    """Root of i in a union-find forest, halving the path on the way."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
 
-    n = len(parent)
-    least: dict[int, int] = {}
-    for i in range(n):
-        r = find(i)
-        least.setdefault(r, i)
-    return tuple(least[find(i)] for i in range(n))
+
+def _union(parent: list[int], a: int, b: int) -> bool:
+    """Merge the classes of a and b; False when they already agree.
+
+    The smaller root always wins, so every root is the least member of
+    its class and the roots read off directly as canonical reps.
+    """
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra == rb:
+        return False
+    parent[max(ra, rb)] = min(ra, rb)
+    return True
+
+
+def _canonical_reps(parent: list[int]) -> tuple[int, ...]:
+    return tuple(_find(parent, i) for i in range(len(parent)))
 
 
 def diagonal(R: FiniteNuSemiring) -> Congruence:
@@ -469,40 +484,19 @@ def cong_closure(
 ) -> Congruence:
     """Least congruence identifying the given pairs.
 
-    Union-find plus a fixpoint pass that re-closes under both table
-    operations until nothing merges.
+    A worklist closure: each merge of two classes pushes the translates
+    (a + c, b + c) and (a * c, b * c) for every c.  A pair whose ends
+    already agree is dropped, since its translates follow from the
+    merges that joined them.
     """
+    add_t, mul_t = R.add_table, R.mul_table
     parent = list(range(R.size))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(a: int, b: int) -> bool:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[max(ra, rb)] = min(ra, rb)
-        return True
-
-    for a, b in pairs:
-        union(a, b)
-    changed = True
-    while changed:
-        changed = False
-        groups: dict[int, list[int]] = {}
-        for i in range(R.size):
-            groups.setdefault(find(i), []).append(i)
-        for members in groups.values():
-            base = members[0]
-            for b in members[1:]:
-                for c in range(R.size):
-                    if union(R.add(base, c), R.add(b, c)):
-                        changed = True
-                    if union(R.mul(base, c), R.mul(b, c)):
-                        changed = True
+    work = list(pairs)
+    while work:
+        a, b = work.pop()
+        if _union(parent, a, b):
+            work.extend(zip(add_t[a], add_t[b]))
+            work.extend(zip(mul_t[a], mul_t[b]))
     return Congruence(R, _canonical_reps(parent))
 
 
@@ -544,33 +538,47 @@ def is_congruence(R: FiniteNuSemiring, reps: Sequence[int]) -> bool:
     return True
 
 
-def _set_partitions(n: int):
-    """Restricted growth strings; yields block assignment per element."""
-    assignment = [0] * n
+def _join(theta: tuple[int, ...], phi: tuple[int, ...]) -> tuple[int, ...]:
+    """Reps of the join of two congruences given by their reps.
 
-    def rec(i: int, maxblock: int):
-        if i == n:
-            yield tuple(assignment)
-            return
-        for b in range(maxblock + 2):
-            assignment[i] = b
-            yield from rec(i + 1, max(maxblock, b))
-
-    yield from rec(0, -1)
+    The transitive closure of the union of two congruences is again a
+    congruence, so the join needs only the merges, no closure.
+    """
+    parent = list(theta)
+    for i, r in enumerate(phi):
+        if r != i:
+            _union(parent, i, r)
+    return _canonical_reps(parent)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _all_congruences(R: FiniteNuSemiring) -> tuple[Congruence, ...]:
+    """The whole lattice: the diagonal, the principal congruences
+    Cg(a, b), and their joins (Freese, "Computing congruences
+    efficiently", Algebra Universalis 59, 2008).
+
+    Every congruence is the join of the principals of its pairs, so
+    joining each new congruence with every principal not yet below it
+    reaches them all, at a cost in the lattice size, not in Bell(n).
+    """
     n = R.size
-    out = []
-    for assignment in _set_partitions(n):
-        least: dict[int, int] = {}
-        for i, b in enumerate(assignment):
-            least.setdefault(b, i)
-        reps = tuple(least[b] for b in assignment)
-        if is_congruence(R, reps):
-            out.append(Congruence(R, reps))
-    return tuple(sorted(out, key=lambda c: c.reps))
+    principals: dict[tuple[int, ...], tuple[int, int]] = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            reps = cong_closure(R, [(a, b)]).reps
+            principals.setdefault(reps, (a, b))
+    found = {tuple(range(n)), *principals}
+    todo = list(principals)
+    while todo:
+        theta = todo.pop()
+        for p, (a, b) in principals.items():
+            if theta[a] == theta[b]:
+                continue
+            joined = _join(theta, p)
+            if joined not in found:
+                found.add(joined)
+                todo.append(joined)
+    return tuple(Congruence(R, reps) for reps in sorted(found))
 
 
 def _basic_flags(R: FiniteNuSemiring, theta: Congruence) -> set[str]:
@@ -606,6 +614,23 @@ def _basic_flags(R: FiniteNuSemiring, theta: Congruence) -> set[str]:
     return flags
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _flag_family(R: FiniteNuSemiring) -> dict[str, tuple[Congruence, ...]]:
+    """The lattice filtered by each basic flag, computed once per carrier."""
+    family: dict[str, list[Congruence]] = {}
+    for c in _all_congruences(R):
+        for flag in _basic_flags(R, c):
+            family.setdefault(flag, []).append(c)
+    return {flag: tuple(cs) for flag, cs in family.items()}
+
+
+def _is_maximal_in(theta: Congruence, family: Sequence[Congruence]) -> bool:
+    """Whether no member of family lies strictly above theta."""
+    return not any(
+        theta.refines(c) and c.reps != theta.reps for c in family
+    )
+
+
 def classify(
     R: FiniteNuSemiring,
     theta: Congruence,
@@ -619,18 +644,10 @@ def classify(
     """
     flags = _basic_flags(R, theta)
     if FLAG_L in flags and R.size <= bound:
-        l_congs = [
-            c
-            for c in _all_congruences(R)
-            if FLAG_L in _basic_flags(R, c)
-        ]
-        if not any(
-            c.iT < theta.iT for c in l_congs
-        ):
+        l_congs = _flag_family(R).get(FLAG_L, ())
+        if not any(c.iT < theta.iT for c in l_congs):
             flags.add(FLAG_TANGLY_MINIMAL)
-        if not any(
-            theta.refines(c) and c.reps != theta.reps for c in l_congs
-        ):
+        if _is_maximal_in(theta, l_congs):
             flags.add(FLAG_MAXIMAL_L)
     return frozenset(flags)
 
@@ -645,14 +662,14 @@ def enumerate_congruences(
         raise BoundError(
             f"carrier has {R.size} elements, enumeration bound is {bound}"
         )
-    congs = _all_congruences(R)
     if kind is None:
-        return congs
+        return _all_congruences(R)
     if kind in (FLAG_TANGLY_MINIMAL, FLAG_MAXIMAL_L):
         return tuple(
-            c for c in congs if kind in classify(R, c, bound)
+            c for c in _flag_family(R).get(FLAG_L, ())
+            if kind in classify(R, c, bound)
         )
-    return tuple(c for c in congs if kind in _basic_flags(R, c))
+    return _flag_family(R).get(kind, ())
 
 
 # -- quotients and localizations ----------------------------------------
@@ -744,12 +761,6 @@ def localize_finite(
     idx = {p: i for i, p in enumerate(pairs)}
     parent = list(range(len(pairs)))
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     def related(p: tuple[int, int], q: tuple[int, int]) -> bool:
         (a, c), (a2, c2) = p, q
         return any(
@@ -758,12 +769,13 @@ def localize_finite(
 
     for i, p in enumerate(pairs):
         for j in range(i + 1, len(pairs)):
-            if find(i) != find(j) and related(p, pairs[j]):
-                parent[max(find(i), find(j))] = min(find(i), find(j))
+            if _find(parent, i) != _find(parent, j) and related(p, pairs[j]):
+                _union(parent, i, j)
 
-    roots = sorted({find(i) for i in range(len(pairs))})
+    root_of = _canonical_reps(parent)
+    roots = sorted(set(root_of))
     class_no = {r: k for k, r in enumerate(roots)}
-    of_pair = [class_no[find(i)] for i in range(len(pairs))]
+    of_pair = [class_no[r] for r in root_of]
     members: list[list[tuple[int, int]]] = [[] for _ in roots]
     for i, p in enumerate(pairs):
         members[of_pair[i]].append(p)
@@ -884,13 +896,7 @@ def maximal_l_congruences(
     R: FiniteNuSemiring, bound: int = DEFAULT_BOUND
 ) -> tuple[Congruence, ...]:
     l_congs = enumerate_congruences(R, bound, FLAG_L)
-    return tuple(
-        m
-        for m in l_congs
-        if not any(
-            m.refines(c) and c.reps != m.reps for c in l_congs
-        )
-    )
+    return tuple(m for m in l_congs if _is_maximal_in(m, l_congs))
 
 
 def jac(

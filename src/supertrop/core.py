@@ -346,7 +346,10 @@ def parse_element(text: str) -> NuElement:
     m = _RAT_RE.match(s)
     if m is None:
         raise ValueError(f"bad element literal {text!r}")
-    x = Fraction(m.group(1))
+    try:
+        x = Fraction(m.group(1))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in element literal {text!r}") from None
     return rat_g(x) if m.group(2) else rat_t(x)
 
 

@@ -477,7 +477,11 @@ def tangible_root(f: TropPoly) -> Optional[Fraction]:
 #
 # Variables are either the letters x, y, z or the indexed family
 # x1, x2, ...; the two styles cannot be mixed.  Literals follow the
-# carrier element syntax, e.g. 3/2, -1v, -inf.
+# carrier element syntax, e.g. 3/2, -1v, -inf.  Parentheses nest at
+# most MAX_NESTING deep; the parser recurses once per level, so the
+# cap keeps deep input a parse error instead of a stack overflow.
+
+MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<minf>-inf)"
@@ -507,6 +511,7 @@ class _Parser:
                     break
             pos = m.end()
         self.i = 0
+        self.depth = 0
         self.nvars = self._scan_vars()
 
     def _scan_vars(self) -> int:
@@ -582,11 +587,21 @@ class _Parser:
         if kind == "minf":
             return p_zero(self.nvars)
         if kind == "lit":
-            return p_const(self.nvars, parse_element(val))
+            try:
+                return p_const(self.nvars, parse_element(val))
+            except ValueError as exc:
+                raise ParseError(f"{exc} at position {at}") from None
         if kind == "var":
             return p_var(self.nvars, self._var_index(val))
         if (kind, val) == ("op", "("):
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING} "
+                    f"at position {at}"
+                )
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             kind2, val2, at2 = self._next()
             if (kind2, val2) != ("op", ")"):
                 raise ParseError(f"expected ')' at position {at2}")

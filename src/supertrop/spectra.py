@@ -33,6 +33,7 @@ from .congr import (
     EMPTY_RADICAL,
     FLAG_PRIME,
     FiniteNuSemiring,
+    _basic_flags,
     classify,
     cong_intersect,
     crad,
@@ -184,16 +185,17 @@ def irreducible(
 ) -> bool:
     """Whether a closed set is irreducible.
 
-    Decided through the classifier: a nonempty closed set is
-    irreducible exactly when its congruence I(Y) is a nu-prime.  The
-    empty set fails (its I is the improper relation).
+    A nonempty closed set is irreducible exactly when its congruence
+    I(Y) is a nu-prime, a flag that needs no enumeration, so bound is
+    not consulted.  The empty set fails (its I is the improper
+    relation).
     """
     members = _member_indices(S, Y)
     if closure_of(S, members).members != members:
         raise PreconditionError("irreducibility is only defined for closed sets")
     if not members:
         return False
-    return FLAG_PRIME in classify(S.carrier, i_of(S, members), bound)
+    return FLAG_PRIME in _basic_flags(S.carrier, i_of(S, members))
 
 
 def rcl(

@@ -63,6 +63,8 @@ from supertrop.spectra import (
     v_set,
 )
 
+from congr_oracles import brute_congruences
+
 ONE = one_of(RATIONAL)
 RAT_ZERO = zero_of(RATIONAL)
 
@@ -258,58 +260,12 @@ def test_criterion_05_canonicalize_vs_grid():
 # -- 6: congruence closure vs all partitions ------------------------------
 
 
-def _all_partition_reps(n: int):
-    """Least-representative tuples of every partition of range(n)."""
-    out = []
-
-    def grow(rgs: list[int]):
-        if len(rgs) == n:
-            first = {}
-            rep = []
-            for i, cls in enumerate(rgs):
-                first.setdefault(cls, i)
-                rep.append(first[cls])
-            out.append(tuple(rep))
-            return
-        top = max(rgs) if rgs else -1
-        for cls in range(top + 2):
-            grow(rgs + [cls])
-
-    grow([])
-    return out
-
-
-def _brute_congruences(R):
-    reps_list = []
-    rng_n = range(R.size)
-    for rep in _all_partition_reps(R.size):
-        ok = True
-        for a in rng_n:
-            for b in rng_n:
-                if rep[a] != rep[b]:
-                    continue
-                for c in rng_n:
-                    if (
-                        rep[R.add(a, c)] != rep[R.add(b, c)]
-                        or rep[R.mul(a, c)] != rep[R.mul(b, c)]
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            reps_list.append(rep)
-    return reps_list
-
-
 def test_criterion_06_cong_closure_vs_brute_force():
     failures = 0
     small = [(name, R) for name, R in BUNDLED if R.size <= 5]
     assert small
     for name, R in small:
-        congs = _brute_congruences(R)
+        congs = brute_congruences(R)
         rng = random.Random(6)
         for _ in range(50):
             pairs = [

@@ -348,6 +348,15 @@ def test_parse_errors_exit_2(capsys):
     assert "parse error" in err
 
 
+def test_zero_denominators_and_deep_nesting_exit_2(capsys):
+    nested = "(" * 3000 + "x" + ")" * 3000
+    for argv in (("eval", "x", "1/0"), ("canon", "1/0*x"), ("canon", nested)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv[:2]
+        assert out == ""
+        assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
 def test_precondition_errors_exit_3(capsys):
     assert run(capsys, "eval", "x + y", "3")[0] == 3
     code, _, err = run(

@@ -8,7 +8,9 @@ import pytest
 
 from supertrop.congr import (
     Congruence,
+    _all_congruences,
     _assemble_blocks,
+    _validate_cached,
     EMPTY_RADICAL,
     FLAG_DETERMINED,
     FLAG_GHOST,
@@ -44,9 +46,11 @@ from supertrop.congr import (
     make_semiring,
     mixed_units,
     nu_primes,
+    permute_semiring,
     pullback,
     quotient,
     random_semiring,
+    require_valid,
     semiring_from_json,
     srad,
     str_chain,
@@ -58,6 +62,13 @@ from supertrop.congr import (
     validate,
 )
 from supertrop.errors import BoundError, ParseError, PreconditionError
+
+from congr_oracles import (
+    brute_congruences,
+    fixpoint_closure,
+    partition_join,
+    pruned_congruences,
+)
 
 B = superboolean()
 CHAIN2 = str_chain(2)
@@ -215,6 +226,80 @@ def test_closure_matches_brute_force_minimum():
             assert containing, name
             minimum = cong_intersect(*containing)
             assert theta.reps == minimum.reps, (name, pairs)
+
+
+# -- lattice construction against independent oracles -------------------
+
+
+def _oracle_carriers():
+    """Bundled carriers and str-chain / str-trunc up to 7 elements, each
+    with two seeded renumbered copies."""
+    bases = list(bundled_suite()) + [
+        (f"{prefix}:{k}", builder(k))
+        for prefix, builder in (("str-chain", str_chain), ("str-trunc", str_trunc))
+        for k in (1, 2, 3)
+    ]
+    rng = random.Random(2008)
+    out = []
+    for name, R in bases:
+        out.append((name, R))
+        for copy in range(2):
+            perm = list(range(R.size))
+            rng.shuffle(perm)
+            out.append((f"{name}/copy{copy}", permute_semiring(R, perm)))
+    return out
+
+
+ORACLE_CARRIERS = _oracle_carriers()
+
+
+def test_lattice_matches_partition_scan():
+    assert max(R.size for _, R in ORACLE_CARRIERS) == 7
+    for name, R in ORACLE_CARRIERS:
+        got = [c.reps for c in enumerate_congruences(R)]
+        assert got == sorted(brute_congruences(R)), name
+
+
+def test_closure_matches_fixpoint_oracle():
+    rng = random.Random(59)
+    carriers = ORACLE_CARRIERS + [("str-chain:5", str_chain(5))]
+    for name, R in carriers:
+        for _ in range(30):
+            pairs = [
+                (rng.randrange(R.size), rng.randrange(R.size))
+                for _ in range(rng.randint(1, 4))
+            ]
+            got = cong_closure(R, pairs).reps
+            assert got == fixpoint_closure(R, pairs), (name, pairs)
+
+
+def test_str_chain_6_lattice():
+    # 13 elements: Bell(13) = 27.6 M partitions is out of reach for the
+    # plain scan, so the count comes from the pruned search instead
+    R = str_chain(6)
+    congs = enumerate_congruences(R, bound=R.size)
+    reps = [c.reps for c in congs]
+    assert len(reps) == 276
+    assert reps == pruned_congruences(R)
+    assert all(is_congruence(R, r) for r in reps)
+    family = set(reps)
+    for x, y in itertools.combinations(congs, 2):
+        assert cong_intersect(x, y).reps in family
+        assert partition_join(x.reps, y.reps) in family
+
+
+def test_lattice_caches_are_bounded():
+    R = str_chain(3)
+    for k in range(40):
+        # renamed copies are pairwise distinct cache keys
+        copy = FiniteNuSemiring(
+            tuple(f"{s}.{k}" for s in R.names), R.zero, R.one,
+            R.add_table, R.mul_table, R.nu_table, R.tangible, R.prudent,
+        )
+        require_valid(copy)
+        enumerate_congruences(copy)
+    for cache in (_all_congruences, _validate_cached):
+        assert cache.cache_info().currsize < 40
 
 
 def test_congruence_intersection_preserves_kinds():

@@ -249,7 +249,7 @@ def test_parse_literals():
     assert parse_element("b0") == B0
     assert parse_element("b1") == B1
     assert parse_element("b1v") == B1V
-    for bad in ("", "x", "3//2", "v", "1.5"):
+    for bad in ("", "x", "3//2", "v", "1.5", "1/0", "-2/0v"):
         try:
             parse_element(bad)
         except ValueError:

@@ -20,6 +20,7 @@ from supertrop.core import (
 )
 from supertrop.errors import ParseError, PreconditionError
 from supertrop.poly import (
+    MAX_NESTING,
     CanonicalForm,
     Essentiality,
     TropPoly,
@@ -432,6 +433,20 @@ def test_parse_errors():
             parse_poly(bad)
     with pytest.raises(ParseError):
         parse_poly("x*y", nvars=1)
+
+
+def test_parse_rejects_zero_denominators():
+    for bad in ("1/0", "1/0*x", "x + -3/0v"):
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse_poly(bad)
+
+
+def test_parse_nesting_cap():
+    deepest = "(" * MAX_NESTING + "x + 0" + ")" * MAX_NESTING
+    assert parse_poly(deepest) == parse_poly("x + 0")
+    for depth in (MAX_NESTING + 1, 3000):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_poly("(" * depth + "x" + ")" * depth)
 
 
 def test_format_examples():

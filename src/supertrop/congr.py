@@ -27,7 +27,7 @@ import json
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from .core import (
     Layer,
@@ -46,6 +46,10 @@ from .core import (
 from .errors import BoundError, ParseError, PreconditionError
 
 DEFAULT_BOUND = 7
+# longest chain that builtin_semiring builds for "str-chain:N" and
+# "str-trunc:N"; building and validating the carrier costs O(N^3), and
+# N = 32 (65 elements) takes well under a second
+MAX_CHAIN = 32
 # entries kept per carrier-keyed cache; carriers come and go in a
 # long-lived process, so the caches must not grow without limit
 _CACHE_SIZE = 16
@@ -471,6 +475,13 @@ def _canonical_reps(parent: list[int]) -> tuple[int, ...]:
     return tuple(_find(parent, i) for i in range(len(parent)))
 
 
+def _reps_by_key(keys: Sequence[Hashable]) -> tuple[int, ...]:
+    """Reps of the partition putting i and j together when their keys
+    agree: each element maps to the least index sharing its key."""
+    least: dict[Hashable, int] = {}
+    return tuple(least.setdefault(k, i) for i, k in enumerate(keys))
+
+
 def diagonal(R: FiniteNuSemiring) -> Congruence:
     return Congruence(R, tuple(range(R.size)))
 
@@ -515,13 +526,8 @@ def cong_intersect(*congs: Congruence) -> Congruence:
     if not congs:
         raise ValueError("need at least one congruence")
     R = congs[0].semiring
-    key = {
-        i: tuple(c.reps[i] for c in congs) for i in range(R.size)
-    }
-    least: dict[tuple[int, ...], int] = {}
-    for i in range(R.size):
-        least.setdefault(key[i], i)
-    return Congruence(R, tuple(least[key[i]] for i in range(R.size)))
+    keys = [tuple(c.reps[i] for c in congs) for i in range(R.size)]
+    return Congruence(R, _reps_by_key(keys))
 
 
 def is_congruence(R: FiniteNuSemiring, reps: Sequence[int]) -> bool:
@@ -958,12 +964,8 @@ def pullback(phi: QHom, theta: Congruence) -> Congruence:
     witness = check_q_homomorphism(phi)
     if witness is not None:
         raise PreconditionError(f"not a q-homomorphism: {witness}")
-    R = phi.src
-    key = {a: theta.reps[phi(a)] for a in range(R.size)}
-    least: dict[int, int] = {}
-    for a in range(R.size):
-        least.setdefault(key[a], a)
-    return Congruence(R, tuple(least[key[a]] for a in range(R.size)))
+    keys = [theta.reps[b] for b in phi.mapping]
+    return Congruence(phi.src, _reps_by_key(keys))
 
 
 def find_isomorphism(
@@ -1008,22 +1010,9 @@ def find_isomorphism(
         for k, perm in zip(keys, choice):
             for src, dst in zip(groups_a[k], perm):
                 f[src] = dst
-        ok = True
-        for a in range(A.size):
-            if f[A.nu(a)] != B.nu(f[a]):
-                ok = False
-                break
-            for b in range(A.size):
-                if f[A.add(a, b)] != B.add(f[a], f[b]):
-                    ok = False
-                    break
-                if f[A.mul(a, b)] != B.mul(f[a], f[b]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return tuple(f)
+        mapping = tuple(f)
+        if check_q_homomorphism(QHom(A, B, mapping)) is None:
+            return mapping
     return None
 
 
@@ -1365,15 +1354,24 @@ def random_semiring(seed: int) -> FiniteNuSemiring:
 
 
 def builtin_semiring(spec: str) -> FiniteNuSemiring:
-    """Carrier named on the command line: builtin, sized, or seeded."""
+    """Carrier named on the command line: builtin, sized, or seeded.
+
+    Sized chains longer than MAX_CHAIN raise BoundError before any
+    table is built.
+    """
     if spec == "superboolean":
         return superboolean()
     for prefix, builder in (("str-chain:", str_chain), ("str-trunc:", str_trunc)):
         if spec.startswith(prefix):
             try:
-                return builder(int(spec[len(prefix):]))
+                n = int(spec[len(prefix):])
+                if n <= MAX_CHAIN:
+                    return builder(n)
             except ValueError:
                 raise ParseError(f"bad chain length in {spec!r}") from None
+            raise BoundError(
+                f"chain length {n} in {spec!r} exceeds MAX_CHAIN = {MAX_CHAIN}"
+            )
     if spec.startswith("random:"):
         try:
             return random_semiring(int(spec[len("random:"):]))

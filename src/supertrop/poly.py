@@ -16,11 +16,12 @@ that only ever tie for the maximum are forced to ghost coefficients.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .core import (
     Layer,
@@ -179,71 +180,60 @@ def p_eval(f: TropPoly, point: Sequence[NuElement]) -> NuElement:
     return acc
 
 
-# -- linear feasibility ----------------------------------------------
+# -- essentiality -----------------------------------------------------
 #
-# Essentiality of a term reduces to feasibility of a system of linear
-# inequalities over the rationals.  Fourier-Motzkin elimination with
-# exact Fraction arithmetic decides such systems; the mixed
-# strict/weak case needs only an "either side strict" flag on each
-# derived inequality.
+# Term i attains the maximum at x when (e_i - e_j) . x >= v_j - v_i for
+# every other term j, and attains it alone when every row holds strictly.
+# Both systems share their rows, so one Fourier-Motzkin elimination
+# decides them: its final rows read 0 >= r, and with r the largest such
+# right-hand side the term is strictly essential when r < 0 or no row is
+# left, tie-only when r = 0, and unreachable when r > 0.  Coefficients
+# are sums of exponent differences, kept as primitive integer vectors;
+# only right-hand sides are Fractions.  Of the rows sharing a vector only
+# the one with the largest right-hand side is kept, as it implies the
+# rest, so in one variable at most x >= r and -x >= r survive.
 
-Ineq = tuple[tuple[Fraction, ...], Fraction, bool]  # coeffs . x >= rhs (> if strict)
+Row = tuple[int, ...]  # coeffs . x >= rhs, coeffs primitive
 
 
-def _feasible(ineqs: Iterable[Ineq], nvars: int) -> bool:
-    cur = list(set(ineqs))
+def _add_row(
+    rows: dict[Row, Fraction], coeffs: Sequence[int], rhs: Fraction
+) -> None:
+    """Record coeffs . x >= rhs unless a kept row already implies it."""
+    g = math.gcd(*coeffs)
+    if g > 1:
+        coeffs, rhs = [c // g for c in coeffs], rhs / g
+    key = tuple(coeffs)
+    if key not in rows or rows[key] < rhs:
+        rows[key] = rhs
+
+
+def _residual(rows: dict[Row, Fraction], nvars: int) -> Optional[Fraction]:
+    """Largest r among the rows 0 >= r left after eliminating every
+    variable, or None when no row is left."""
     for k in range(nvars - 1, -1, -1):
-        lowers: list[Ineq] = []
-        uppers: list[Ineq] = []
-        rest: list[Ineq] = []
-        for item in cur:
-            ck = item[0][k]
-            if ck > 0:
-                lowers.append(item)
-            elif ck < 0:
-                uppers.append(item)
+        lowers, uppers = [], []
+        rest: dict[Row, Fraction] = {}
+        for coeffs, rhs in rows.items():
+            if coeffs[k] > 0:
+                lowers.append((coeffs, rhs))
+            elif coeffs[k] < 0:
+                uppers.append((coeffs, rhs))
             else:
-                rest.append(item)
-        for cl, bl, sl in lowers:
-            for cu, bu, su in uppers:
+                rest[coeffs] = rhs
+        for cl, bl in lowers:
+            for cu, bu in uppers:
                 al, au = cl[k], -cu[k]
-                coeffs = tuple(au * cl[i] + al * cu[i] for i in range(nvars))
-                rest.append((coeffs, au * bl + al * bu, sl or su))
-        cur = list(set(rest))
-    for _, rhs, strict in cur:
-        if strict:
-            if rhs >= 0:
-                return False
-        elif rhs > 0:
-            return False
-    return True
+                diff = [au * a + al * b for a, b in zip(cl, cu)]
+                _add_row(rest, diff, au * bl + al * bu)
+        rows = rest
+    return max(rows.values(), default=None)
 
 
 class Essentiality(Enum):
     STRICTLY_ESSENTIAL = "StrictlyEssential"
     TIE_ONLY = "TieOnly"
     UNREACHABLE = "Unreachable"
-
-
-def _dominance_system(
-    exps: Sequence[Exponent],
-    values: Sequence[Fraction],
-    i: int,
-    strict: bool,
-) -> list[Ineq]:
-    """Inequalities stating that term i attains the maximum.
-
-    Strict mode additionally requires every other term to fall
-    strictly below.
-    """
-    out: list[Ineq] = []
-    ei, vi = exps[i], values[i]
-    for j, (ej, vj) in enumerate(zip(exps, values)):
-        if j == i:
-            continue
-        coeffs = tuple(Fraction(a - b) for a, b in zip(ei, ej))
-        out.append((coeffs, vj - vi, strict))
-    return out
 
 
 def essential_exponents(f: TropPoly) -> dict[Exponent, Essentiality]:
@@ -254,16 +244,20 @@ def essential_exponents(f: TropPoly) -> dict[Exponent, Essentiality]:
     """
     if f.is_zero:
         raise PreconditionError("zero polynomial has no essential exponents")
-    exps = [e for e, _ in f.terms]
-    values = [c.value for _, c in f.terms]
     out: dict[Exponent, Essentiality] = {}
-    for i, exp in enumerate(exps):
-        if _feasible(_dominance_system(exps, values, i, strict=True), f.nvars):
-            out[exp] = Essentiality.STRICTLY_ESSENTIAL
-        elif _feasible(_dominance_system(exps, values, i, strict=False), f.nvars):
-            out[exp] = Essentiality.TIE_ONLY
+    for ei, ci in f.terms:
+        rows: dict[Row, Fraction] = {}
+        for ej, cj in f.terms:
+            if ej != ei:
+                diff = [a - b for a, b in zip(ei, ej)]
+                _add_row(rows, diff, cj.value - ci.value)
+        r = _residual(rows, f.nvars)
+        if r is None or r < 0:
+            out[ei] = Essentiality.STRICTLY_ESSENTIAL
+        elif r == 0:
+            out[ei] = Essentiality.TIE_ONLY
         else:
-            out[exp] = Essentiality.UNREACHABLE
+            out[ei] = Essentiality.UNREACHABLE
     return out
 
 

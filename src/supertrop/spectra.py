@@ -16,13 +16,11 @@ monoid S(f) spanned by the prudent non-ghost-divisors h with
 D(f) <= D(h) together with the powers of f when f is prudent; the
 stalk at a point localizes at the point's tangible cluster.  The
 check functions at the bottom brute-force the radical-intersection
-and compactness statements and return small reports instead of
-raising.
+statements and return small reports instead of raising.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
@@ -214,22 +212,25 @@ def rcl(
 # -- dimension ----------------------------------------------------------
 
 
+def _strictly_below(points: Sequence[Congruence]) -> list[list[int]]:
+    """For each point j, the points i strictly included in it, ascending."""
+    return [
+        [
+            i
+            for i, p in enumerate(points)
+            if p.reps != q.reps and p.refines(q)
+        ]
+        for q in points
+    ]
+
+
 def _chain_edges(points: Sequence[Congruence]) -> list[list[int]]:
     """Admissible chain steps: strict inclusion with strictly
     shrinking tangible cluster."""
-    n = len(points)
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if (
-                points[i].refines(points[j])
-                and points[i].reps != points[j].reps
-                and points[j].iT < points[i].iT
-            ):
-                preds[j].append(i)
-    return preds
+    return [
+        [i for i in below if points[j].iT < points[i].iT]
+        for j, below in enumerate(_strictly_below(points))
+    ]
 
 
 def _longest_to(preds: list[list[int]]) -> list[int]:
@@ -444,56 +445,13 @@ def krull_check(R: FiniteNuSemiring, bound: int = DEFAULT_BOUND) -> CheckReport:
     return CheckReport("krull", not failures, 4, tuple(failures))
 
 
-def quasicompact_check(
-    S: Spectrum, f: int
-) -> CheckReport:
-    """Every basic-open cover of D(f) keeps a minimal finite subcover;
-    covers are enumerated over all element subsets."""
-    R = S.carrier
-    target = d_set(S, f).members
-    opens = [d_set(S, g).members for g in range(R.size)]
-    checked = 0
-    failures = []
-    for r in range(R.size + 1):
-        for G in itertools.combinations(range(R.size), r):
-            union = frozenset().union(*(opens[g] for g in G))
-            if not target <= union:
-                continue
-            checked += 1
-            residual = set(target)
-            subcover = []
-            for g in sorted(G, key=lambda g: -len(opens[g] & residual)):
-                if not residual:
-                    break
-                gain = opens[g] & residual
-                if gain:
-                    subcover.append(g)
-                    residual -= gain
-            if residual:
-                failures.append(
-                    f"cover {[R.names[g] for g in G]} of D({R.names[f]}) "
-                    "has no finite subcover"
-                )
-    return CheckReport("quasicompact", not failures, checked, tuple(failures))
-
-
 # -- serialization ------------------------------------------------------
 
 
 def _hasse_edges(points: Sequence[Congruence]) -> list[tuple[int, int]]:
-    n = len(points)
-    below = [
-        [
-            i
-            for i in range(n)
-            if i != j
-            and points[i].refines(points[j])
-            and points[i].reps != points[j].reps
-        ]
-        for j in range(n)
-    ]
+    below = _strictly_below(points)
     edges = []
-    for j in range(n):
+    for j in range(len(points)):
         for i in below[j]:
             if not any(i in below[k] for k in below[j]):
                 edges.append((i, j))

@@ -1,13 +1,19 @@
 """Command-line front end: verbs, exit codes, stable bytes, round-trips."""
 
+import contextlib
+import io
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from supertrop.cli import main
 from supertrop.congr import (
+    MAX_CHAIN,
     bundled_suite,
     builtin_semiring,
     enumerate_congruences,
@@ -21,6 +27,7 @@ from supertrop.poly import (
     parse_poly,
 )
 from supertrop.core import rat_g, rat_t
+from supertrop.errors import ParseError
 
 
 def run(capsys, *argv):
@@ -381,6 +388,21 @@ def test_bound_errors_exit_4(capsys):
     assert json.loads(out)["points"]
 
 
+def test_chain_length_cap_exits_4_before_building(capsys):
+    for kind in ("str-chain", "str-trunc"):
+        code, out, err = run(
+            capsys, "congs", "--semiring", f"{kind}:{MAX_CHAIN + 1}"
+        )
+        assert (code, out) == (4, "")
+        assert "MAX_CHAIN" in err
+    code, out, _ = run(
+        capsys, "validate", "--semiring", f"str-chain:{MAX_CHAIN}"
+    )
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+    assert run(capsys, "validate", "--semiring", "str-chain:0")[0] == 2
+
+
 def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["spec"]) == 2
@@ -454,3 +476,66 @@ def test_element_error_lists_carrier_names(capsys):
     )
     assert code == 2
     assert "b0, b1, b1v" in err
+
+
+# -- fuzzing -------------------------------------------------------------
+#
+# Polynomial verbs have no work budget yet, so the inputs stay cheap:
+# exponents of at most 9, short text, and at most 40 terms once a
+# polynomial has two or more variables.
+
+_ATOMS = ["x", "y", "z", "x1", "x2", "0", "3", "-2", "1/2", "-1v", "0v",
+          "-inf", "2/0"]
+_atom = st.sampled_from(_ATOMS)
+_factor = st.one_of(
+    _atom,
+    st.builds("{}^{}".format, _atom, st.integers(0, 9)),
+    st.builds(
+        "({})^{}".format,
+        st.lists(_atom, min_size=1, max_size=3).map("+".join),
+        st.integers(0, 9),
+    ),
+)
+_poly_text = st.one_of(
+    st.lists(
+        st.lists(_factor, min_size=1, max_size=2).map("*".join),
+        min_size=1,
+        max_size=3,
+    ).map(" + ".join),
+    st.text(alphabet="xyz0123456789v/+-*^() ", max_size=12),
+)
+_point_text = st.lists(
+    st.sampled_from(["0", "3", "-1/2", "2v", "-inf", "1/0", "q"]), max_size=3
+).map(",".join)
+
+
+def _cheap(text: str) -> bool:
+    if re.search(r"\^\s*\d\d", text):
+        return False
+    try:
+        f = parse_poly(text)
+    except ParseError:
+        return True
+    return f.nvars == 1 or len(f.terms) <= 40
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    verb=st.sampled_from(["eval", "canon", "equal", "factor", "root"]),
+    left=_poly_text,
+    right=_poly_text,
+    point=_point_text,
+)
+def test_polynomial_verbs_never_raise(verb, left, right, point):
+    assume(_cheap(left) and _cheap(right))
+    argv = [verb, "--", left]
+    if verb == "eval":
+        argv.append(point)
+    elif verb == "equal":
+        argv.append(right)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert (code == 0) == bool(out.getvalue()), argv
+    assert "Traceback" not in err.getvalue()

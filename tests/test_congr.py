@@ -598,6 +598,16 @@ def test_find_isomorphism_positive_and_negative():
             assert iso[S.mul(a, b)] == B.mul(iso[a], iso[b])
     assert find_isomorphism(flat_idempotent(), unit_pair()) is None
     assert find_isomorphism(B, CHAIN2) is None
+    # same element profiles, different tables
+    assert find_isomorphism(two_level(True), two_level(False)) is None
+    rng = random.Random(13)
+    for name, R in bundled_suite():
+        perm = list(range(R.size))
+        rng.shuffle(perm)
+        P = permute_semiring(R, perm)
+        iso = find_isomorphism(R, P)
+        assert iso is not None and sorted(iso) == list(range(R.size)), name
+        assert check_q_homomorphism(QHom(R, P, iso)) is None, name
 
 
 def test_permuted_copies_are_isomorphic():

@@ -44,6 +44,8 @@ from supertrop.poly import (
 )
 from supertrop.locus import z_member
 
+from poly_oracles import essential_exponents as two_pass_essentiality
+
 RAT_ZERO = zero_of(RATIONAL)
 ONE = one_of(RATIONAL)
 
@@ -222,6 +224,35 @@ def test_essentiality_of_single_term():
         essential_exponents(p_zero(2))
     with pytest.raises(PreconditionError):
         canonicalize(p_zero(1))
+
+
+def _essentiality_cases():
+    """Seeded random polynomials in 1-3 variables (ghost coefficients
+    included), tie-heavy powers, and terms on one line."""
+    rng = random.Random(41)
+    for _ in range(200):
+        nvars = rng.choice([1, 2, 3])
+        yield rand_poly(rng, nvars, max_deg=5, max_terms=9)
+    for k in range(1, 13):
+        yield parse_poly(f"(x+0)^{k}")
+        yield parse_poly(f"(x+0v)^{k}")
+    for k in range(1, 5):
+        yield parse_poly(f"(x+y+0)^{k}")
+        yield parse_poly(f"(x+1v*y+0)^{k}")
+    yield parse_poly("(x+y+z+0)^2")
+    for direction in [(1, 2), (1, 1, 0), (2, 1, 3), (0, 0, 1)]:
+        for _ in range(6):
+            base = tuple(rng.randint(0, 2) for _ in direction)
+            coeffs = {}
+            for t in range(rng.randint(1, 7)):
+                exp = tuple(b + t * d for b, d in zip(base, direction))
+                coeffs[exp] = rand_coeff(rng)
+            yield make_poly(len(direction), coeffs)
+
+
+def test_essentiality_matches_two_pass_oracle():
+    for f in _essentiality_cases():
+        assert essential_exponents(f) == two_pass_essentiality(f), str(f)
 
 
 def test_canonical_form_equality():

@@ -43,7 +43,6 @@ from supertrop.spectra import (
     krull_check,
     krull_dim,
     nullstellensatz_check,
-    quasicompact_check,
     rcl,
     s_of_f,
     sections,
@@ -746,14 +745,6 @@ def test_krull_check_passes_on_suite():
     for name, R in suite():
         report = krull_check(R)
         assert report.passed, (name, report.failures)
-
-
-def test_quasicompact_check():
-    S = spec_of(TW)
-    for f in range(TW.size):
-        report = quasicompact_check(S, f)
-        assert report.passed
-        assert report.checked > 0
 
 
 def test_check_report_json():

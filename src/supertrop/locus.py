@@ -4,28 +4,52 @@ The tie lines of a polynomial system cut the viewing box into an
 arrangement of convex faces, open edges and vertices.  On each cell
 the attaining term set of every polynomial is constant, hence so is
 membership in the ghost locus; one rational witness per cell decides
-the label exactly.  All arithmetic is over Fraction, so the cell
-complex is combinatorially exact and the JSON output stable.
+the label exactly.
+
+The build keeps points as reduced integer homogeneous triples
+(X, Y, D) with D > 0, standing for (X/D, Y/D).  Every vertex is the
+meet of two integer lines, a primitive tie line or a box side
+x = p/q written q*x = p, so side tests and clip intersections are
+integer arithmetic.  Points become Fraction pairs only when cells are
+emitted; the complex is combinatorially exact and the JSON output
+stable.  One scaled-integer evaluator of c + e.w gives every cell its
+attaining sets and label, and answers z_member.
+
+Each cell is keyed by its sign vector against the sorted tie lines and
+the four box sides.  The signs are constant on a cell and tell cells
+apart, so `locate` is one integer side test per line and one lookup.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
-from .core import Layer, rat_t
-from .errors import PreconditionError
-from .poly import Exponent, TropPoly, p_eval
+from .core import Layer
+from .errors import BoundError, PreconditionError
+from .poly import Exponent, TropPoly
 
 Point = tuple[Fraction, Fraction]
 Box = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 Line = tuple[int, int, int]  # A*x + B*y = C, primitive, sign-normalized
+HPoint = tuple[int, int, int]  # (X, Y, D) for (X/D, Y/D), D > 0, reduced
+SignVector = tuple[int, ...]
 
 GHOST_REGION = "GhostRegion"
 TANGIBLE_REGION = "TangibleRegion"
+
+# Work budget of locus2d, checked before any splitting.  n lines in
+# general position cross in about n^2/2 vertices, and each cell is
+# evaluated against every polynomial and signed against every line.
+# The slowest admitted build measured, 118 binomials whose tie lines
+# all cross inside the box (25k cells), took 8.5 to 9.8 s on a 2-core
+# x86-64 machine under Python 3.11; one 16-term polynomial with 119
+# tie lines (24k cells) took 2.3 to 3 s.
+MAX_TIE_LINES = 120
 
 
 @dataclass(frozen=True)
@@ -42,6 +66,11 @@ class LocusComplex:
     polys: tuple[TropPoly, ...]
     box: Box
     cells: tuple[Cell, ...]
+    # tie lines then box sides, and each cell keyed by its signs against them
+    lines: tuple[Line, ...] = field(default=(), repr=False, compare=False)
+    index: dict[SignVector, Cell] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def faces(self) -> list[Cell]:
         return [c for c in self.cells if c.kind == "face"]
@@ -88,85 +117,115 @@ def _tie_lines(polys: Sequence[TropPoly]) -> list[Line]:
     return sorted(lines)
 
 
-def _side(line: Line, p: Point) -> Fraction:
+def _homogeneous(x: Fraction, y: Fraction) -> HPoint:
+    d = lcm(x.denominator, y.denominator)
+    return (x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d)
+
+
+def _signs(lines: Sequence[Line], p: HPoint) -> SignVector:
+    X, Y, D = p
+    sides = [a * X + b * Y - c * D for a, b, c in lines]
+    return tuple((s > 0) - (s < 0) for s in sides)
+
+
+def _meet(p: HPoint, q: HPoint, s0: int, s1: int) -> HPoint:
+    """Point where the segment pq crosses a line, from the side values
+    s0 at p and s1 at q, which have opposite signs."""
+    if s0 < 0:
+        s0, s1 = -s0, -s1
+    X = s0 * q[0] - s1 * p[0]
+    Y = s0 * q[1] - s1 * p[1]
+    D = s0 * q[2] - s1 * p[2]
+    g = gcd(X, Y, D)
+    return (X // g, Y // g, D // g)
+
+
+def _area2(pts: Sequence[HPoint]) -> tuple[int, int]:
+    """Twice the signed area as an unreduced fraction (num, den > 0)."""
+    num, den = 0, 1
+    X0, Y0, D0 = pts[-1]
+    for X1, Y1, D1 in pts:
+        dd = D0 * D1
+        num = num * dd + (X0 * Y1 - X1 * Y0) * den
+        den *= dd
+        X0, Y0, D0 = X1, Y1, D1
+    return num, den
+
+
+def _split(pts: list[HPoint], line: Line) -> Sequence[list[HPoint]]:
+    """Pieces of a convex face on the nonnegative, then the nonpositive
+    side of a line; the face itself unless the line crosses its interior."""
     a, b, c = line
-    return a * p[0] + b * p[1] - c
-
-
-def _clip(pts: Sequence[Point], line: Line, keep_nonneg: bool) -> list[Point]:
-    out: list[Point] = []
+    sides = [a * X + b * Y - c * D for X, Y, D in pts]
+    if min(sides) >= 0 or max(sides) <= 0:
+        return (pts,)
+    pos: list[HPoint] = []
+    neg: list[HPoint] = []
     n = len(pts)
     for i in range(n):
-        cur, nxt = pts[i], pts[(i + 1) % n]
-        s0, s1 = _side(line, cur), _side(line, nxt)
-        keep = s0 >= 0 if keep_nonneg else s0 <= 0
-        if keep:
-            out.append(cur)
+        cur, s0, s1 = pts[i], sides[i], sides[i + 1 - n]
+        if s0 >= 0:
+            pos.append(cur)
+        if s0 <= 0:
+            neg.append(cur)
         if (s0 > 0 > s1) or (s0 < 0 < s1):
-            t = s0 / (s0 - s1)
-            out.append(
-                (cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1]))
-            )
-    dedup: list[Point] = []
-    for p in out:
-        if not dedup or dedup[-1] != p:
-            dedup.append(p)
-    if dedup and len(dedup) > 1 and dedup[0] == dedup[-1]:
-        dedup.pop()
-    return dedup
-
-
-def _area2(pts: Sequence[Point]) -> Fraction:
-    total = Fraction(0)
-    n = len(pts)
-    for i in range(n):
-        x0, y0 = pts[i]
-        x1, y1 = pts[(i + 1) % n]
-        total += x0 * y1 - x1 * y0
-    return total
-
-
-def _drop_collinear(pts: list[Point]) -> list[Point]:
-    changed = True
-    while changed and len(pts) > 3:
-        changed = False
-        for i in range(len(pts)):
-            a = pts[i - 1]
-            b = pts[i]
-            c = pts[(i + 1) % len(pts)]
-            cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            if cross == 0:
-                pts.pop(i)
-                changed = True
-                break
-    return pts
-
-
-def _split(pts: list[Point], line: Line) -> list[list[Point]]:
-    pieces = []
-    for keep_nonneg in (True, False):
-        piece = _clip(pts, line, keep_nonneg)
-        if len(piece) >= 3 and _area2(piece) > 0:
-            pieces.append(piece)
-    # a line missing the interior leaves the polygon whole; both clips
-    # returning it would duplicate, so fall back to the original
-    if not pieces:
-        return [pts]
-    if len(pieces) == 2 and _area2(pieces[0]) + _area2(pieces[1]) != _area2(pts):
-        raise AssertionError("split lost area")
-    if len(pieces) == 1 and _area2(pieces[0]) != _area2(pts):
+            m = _meet(cur, pts[i + 1 - n], s0, s1)
+            pos.append(m)
+            neg.append(m)
+    n0, d0 = _area2(pts)
+    n1, d1 = _area2(pos)
+    n2, d2 = _area2(neg)
+    if len(pos) < 3 or len(neg) < 3 or n1 <= 0 or n2 <= 0:
         raise AssertionError("clip lost area")
-    return pieces
+    if (n1 * d2 + n2 * d1) * d0 != n0 * d1 * d2:
+        raise AssertionError("split lost area")
+    return pos, neg
 
 
-def _attaining(f: TropPoly, w: Point) -> tuple[Exponent, ...]:
-    if f.is_zero:
-        return ()
-    levels = [
-        (c.value + e[0] * w[0] + e[1] * w[1], e) for e, c in f.terms
+# -- evaluation -------------------------------------------------------
+#
+# At a tangible point x = N/d, with q the lcm of a polynomial's
+# coefficient denominators, q*d*(c + e.x) = (c*q)*d + q*(e.N) is an
+# integer for every term, so terms compare exactly without Fractions.
+
+Scaled = list[tuple[int, tuple[int, ...], Exponent, bool]]  # c*q, q*e, e, ghost
+
+
+def _scaled(f: TropPoly) -> Scaled:
+    q = lcm(*(c.value.denominator for _, c in f.terms))
+    return [
+        (
+            c.value.numerator * (q // c.value.denominator),
+            tuple(q * k for k in e),
+            e,
+            c.layer is Layer.GHOST,
+        )
+        for e, c in f.terms
     ]
-    top = max(v for v, _ in levels)
-    return tuple(e for v, e in levels if v == top)
+
+
+def _evaluate(
+    system: Sequence[Scaled], nums: Sequence[int], d: int
+) -> tuple[tuple[tuple[Exponent, ...], ...], bool]:
+    """The exponents attaining each polynomial's maximum at the tangible
+    point nums/d, and whether the point lies in the common ghost locus:
+    every polynomial is zero there, or two or more of its terms tie, or
+    its one attaining term has a ghost coefficient."""
+    attaining = []
+    ghost = True
+    for f in system:
+        if not f:
+            attaining.append(())
+            continue
+        values = [cq * d + sum(map(mul, w, nums)) for cq, w, _, _ in f]
+        top = max(values)
+        if values.count(top) == 1:
+            _, _, e, g = f[values.index(top)]
+            attaining.append((e,))
+            ghost = ghost and g
+        else:
+            attaining.append(tuple(t[2] for t, v in zip(f, values) if v == top))
+    return tuple(attaining), ghost
 
 
 def z_member(polys: Sequence[TropPoly], point: Sequence[Fraction]) -> bool:
@@ -176,23 +235,16 @@ def z_member(polys: Sequence[TropPoly], point: Sequence[Fraction]) -> bool:
     non-tangible element there; the empty system has the whole space
     as its locus.  Works in any number of variables.
     """
-    pt = tuple(rat_t(Fraction(x)) for x in point)
+    pt = [Fraction(x) for x in point]
     for f in polys:
         if f.nvars != len(pt):
             raise PreconditionError("point arity does not match the system")
-    return all(p_eval(f, pt).layer is not Layer.TANGIBLE for f in polys)
+    d = lcm(*(x.denominator for x in pt))
+    nums = [x.numerator * (d // x.denominator) for x in pt]
+    return _evaluate([_scaled(f) for f in polys], nums, d)[1]
 
 
-def _label(polys: Sequence[TropPoly], w: Point) -> str:
-    return GHOST_REGION if z_member(polys, w) else TANGIBLE_REGION
-
-
-def _centroid(pts: Sequence[Point]) -> Point:
-    n = len(pts)
-    return (
-        sum(p[0] for p in pts) / n,
-        sum(p[1] for p in pts) / n,
-    )
+# -- the cell complex -------------------------------------------------
 
 
 def locus2d(polys: Sequence[TropPoly], box: Optional[Box] = None) -> LocusComplex:
@@ -200,7 +252,7 @@ def locus2d(polys: Sequence[TropPoly], box: Optional[Box] = None) -> LocusComple
 
     The box must be a nondegenerate axis-aligned rectangle; the cell
     list holds faces, then edges, then vertices, each sorted by their
-    point data.
+    point data.  More than MAX_TIE_LINES tie lines raise BoundError.
     """
     polys = tuple(polys)
     if not polys:
@@ -212,64 +264,70 @@ def locus2d(polys: Sequence[TropPoly], box: Optional[Box] = None) -> LocusComple
     (x0, x1), (y0, y1) = box
     if not (x0 < x1 and y0 < y1):
         raise PreconditionError("degenerate box")
+    ties = _tie_lines(polys)
+    if len(ties) > MAX_TIE_LINES:
+        raise BoundError(
+            f"{len(ties)} tie lines, more than locus.MAX_TIE_LINES = {MAX_TIE_LINES}"
+        )
 
-    faces: list[list[Point]] = [[(x0, y0), (x1, y0), (x1, y1), (x0, y1)]]
-    for line in _tie_lines(polys):
+    faces = [[_homogeneous(x, y) for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))]]
+    for line in ties:
         faces = [piece for pts in faces for piece in _split(pts, line)]
-    faces = [_drop_collinear(pts) for pts in faces]
 
-    edge_set: set[tuple[Point, Point]] = set()
-    vertex_set: set[Point] = set()
+    point_of: dict[HPoint, Point] = {}
+    edge_set: set[tuple[HPoint, HPoint]] = set()
     for pts in faces:
-        for i, p in enumerate(pts):
-            vertex_set.add(p)
-            q = pts[(i + 1) % len(pts)]
-            edge_set.add((p, q) if p <= q else (q, p))
+        for h in pts:
+            if h not in point_of:
+                point_of[h] = (Fraction(h[0], h[2]), Fraction(h[1], h[2]))
+        for a, b in zip(pts, pts[1:] + pts[:1]):
+            edge_set.add((a, b) if point_of[a] <= point_of[b] else (b, a))
 
-    cells: list[Cell] = []
-    for pts in sorted(faces):
-        w = _centroid(pts)
-        cells.append(
-            Cell(
-                "face",
-                tuple(pts),
-                w,
-                _label(polys, w),
-                tuple(_attaining(f, w) for f in polys),
-            )
+    # every cell with its homogeneous witness: the centroid of a face,
+    # the midpoint of an edge, a vertex itself
+    witnesses: list[tuple[str, tuple[Point, ...], HPoint]] = []
+    for polygon, pts in sorted(
+        (tuple(point_of[h] for h in pts), pts) for pts in faces
+    ):
+        d = lcm(*(D for _, _, D in pts))
+        centroid = (
+            sum(X * (d // D) for X, _, D in pts),
+            sum(Y * (d // D) for _, Y, D in pts),
+            d * len(pts),
         )
-    for a, b in sorted(edge_set):
-        w = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-        cells.append(
-            Cell(
-                "edge",
-                (a, b),
-                w,
-                _label(polys, w),
-                tuple(_attaining(f, w) for f in polys),
-            )
-        )
-    for p in sorted(vertex_set):
-        cells.append(
-            Cell(
-                "vertex",
-                (p,),
-                p,
-                _label(polys, p),
-                tuple(_attaining(f, p) for f in polys),
-            )
-        )
-    return LocusComplex(polys, box, tuple(cells))
+        witnesses.append(("face", polygon, centroid))
+    for a, b in sorted(edge_set, key=lambda e: (point_of[e[0]], point_of[e[1]])):
+        (Xa, Ya, Da), (Xb, Yb, Db) = a, b
+        midpoint = (Xa * Db + Xb * Da, Ya * Db + Yb * Da, 2 * Da * Db)
+        witnesses.append(("edge", (point_of[a], point_of[b]), midpoint))
+    for h in sorted(point_of, key=point_of.__getitem__):
+        witnesses.append(("vertex", (point_of[h],), h))
 
-
-def _between(a: Point, b: Point, p: Point) -> bool:
-    cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-    if cross != 0:
-        return False
-    return (
-        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+    system = [_scaled(f) for f in polys]
+    lines = (
+        *ties,
+        (x0.denominator, 0, x0.numerator),
+        (x1.denominator, 0, x1.numerator),
+        (0, y0.denominator, y0.numerator),
+        (0, y1.denominator, y1.numerator),
     )
+    cells: list[Cell] = []
+    index: dict[SignVector, Cell] = {}
+    for kind, polygon, (X, Y, D) in witnesses:
+        attaining, ghost = _evaluate(system, (X, Y), D)
+        w = polygon[0] if kind == "vertex" else (Fraction(X, D), Fraction(Y, D))
+        cell = Cell(
+            kind,
+            polygon,
+            w,
+            GHOST_REGION if ghost else TANGIBLE_REGION,
+            attaining,
+        )
+        cells.append(cell)
+        index[_signs(lines, (X, Y, D))] = cell
+    if len(index) != len(cells):
+        raise AssertionError("two cells share a sign vector")
+    return LocusComplex(polys, box, tuple(cells), lines, index)
 
 
 def locate(L: LocusComplex, x: Fraction, y: Fraction) -> Cell:
@@ -277,27 +335,10 @@ def locate(L: LocusComplex, x: Fraction, y: Fraction) -> Cell:
     (x0, x1), (y0, y1) = L.box
     if not (x0 <= x <= x1 and y0 <= y <= y1):
         raise PreconditionError("point outside the box")
-    p = (x, y)
-    for cell in L.cells:
-        if cell.kind == "vertex" and cell.polygon[0] == p:
-            return cell
-    for cell in L.cells:
-        if cell.kind == "edge" and _between(cell.polygon[0], cell.polygon[1], p):
-            return cell
-    for cell in L.cells:
-        if cell.kind != "face":
-            continue
-        pts = cell.polygon
-        inside = True
-        for i, a in enumerate(pts):
-            b = pts[(i + 1) % len(pts)]
-            cross = (b[0] - a[0]) * (y - a[1]) - (b[1] - a[1]) * (x - a[0])
-            if cross < 0:
-                inside = False
-                break
-        if inside:
-            return cell
-    raise AssertionError("point not located")
+    cell = L.index.get(_signs(L.lines, _homogeneous(x, y)))
+    if cell is None:
+        raise AssertionError("point not located")
+    return cell
 
 
 # -- serialization -----------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line front end: verbs, exit codes, stable bytes, round-trips."""
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -28,6 +29,7 @@ from supertrop.poly import (
 )
 from supertrop.core import rat_g, rat_t
 from supertrop.errors import ParseError
+from supertrop.locus import MAX_TIE_LINES
 
 
 def run(capsys, *argv):
@@ -157,6 +159,50 @@ def test_zlocus_svg_stdout_is_binary(capsysbinary):
     code = main(["zlocus", "x + y + 0", "--format", "svg"])
     assert code == 0
     assert capsysbinary.readouterr().out.startswith(b"<svg")
+
+
+# sha256 of the zlocus JSON and SVG output of the Fraction build kept in
+# tests/locus_oracles.py, which the integer build must reproduce byte
+# for byte: the README curve on its default box, the triangle system,
+# and two polynomials on a box with fractional bounds
+ZLOCUS_GOLDENS = [
+    (
+        ["x^2*y + x*y^2 + 2*x*y + 0"],
+        "abd25d5d57f66868a5d9265768a0f3a3919d1a56d2bbd74562ad0c5bb5ed1545",
+        "7cbb6824dfbc0b3afd1ba93818d0219faca0a06cc076bc99750e85a2f5fc547e",
+    ),
+    (
+        ["x + 1v", "y + 1v", "-1v*x*y + 0", "--box=-5,5,-5,5"],
+        "0b56348ce43e66e56c1b5b768d9c326eb432ea94bc80adcde806eea041d1674e",
+        "e56c1492f664291ac38a2b019f84dc6a18ad704c1f7d55e8567236e578c2753d",
+    ),
+    (
+        ["x^2 + 1/2*x*y + -1*y + 0", "x + -1/3*y + 1v",
+         "--box=-7/2,5/3,-9/4,11/3"],
+        "cc2b7851a043f0c9eb3138fe171a838a16e8209b7de971cb6d9f63cb7eb5b1ee",
+        "465b1eba80f78eb0f3a6ed147d945193da2cbf9dd20f6f6b2d8adc93743afddd",
+    ),
+]
+
+
+@pytest.mark.parametrize("args,json_sha,svg_sha", ZLOCUS_GOLDENS)
+def test_zlocus_golden_digests(capsysbinary, args, json_sha, svg_sha):
+    for fmt, digest in (("json", json_sha), ("svg", svg_sha)):
+        assert main(["zlocus", *args, "--format", fmt]) == 0
+        out = capsysbinary.readouterr().out
+        assert hashlib.sha256(out).hexdigest() == digest, fmt
+
+
+def test_zlocus_tie_line_budget_exits_4(capsys):
+    # t terms whose t(t-1)/2 tie lines are pairwise distinct
+    t = 2
+    while t * (t - 1) // 2 <= MAX_TIE_LINES:
+        t += 1
+    text = " + ".join(f"{i ** 3}*x^{i}*y^{i * i}" for i in range(t))
+    code, out, err = run(capsys, "zlocus", text, "--box=-1000,1000,-1000,1000")
+    assert (code, out) == (4, "")
+    assert len(err.splitlines()) == 1
+    assert "MAX_TIE_LINES" in err
 
 
 # -- carrier verbs -----------------------------------------------------
@@ -480,37 +526,62 @@ def test_element_error_lists_carrier_names(capsys):
 
 # -- fuzzing -------------------------------------------------------------
 #
-# Polynomial verbs have no work budget yet, so the inputs stay cheap:
-# exponents of at most 9, short text, and at most 40 terms once a
-# polynomial has two or more variables.
+# The parser and the LP verbs have no work budget yet, so the inputs
+# stay cheap: exponents of at most 9, short text, and at most 40 terms
+# once a polynomial has two or more variables.  zlocus stops past
+# locus.MAX_TIE_LINES on its own, so its bivariate systems skip the
+# term limit; their boxes are well-formed, degenerate or malformed.
 
 _ATOMS = ["x", "y", "z", "x1", "x2", "0", "3", "-2", "1/2", "-1v", "0v",
           "-inf", "2/0"]
-_atom = st.sampled_from(_ATOMS)
-_factor = st.one_of(
-    _atom,
-    st.builds("{}^{}".format, _atom, st.integers(0, 9)),
-    st.builds(
-        "({})^{}".format,
-        st.lists(_atom, min_size=1, max_size=3).map("+".join),
-        st.integers(0, 9),
-    ),
-)
-_poly_text = st.one_of(
-    st.lists(
-        st.lists(_factor, min_size=1, max_size=2).map("*".join),
-        min_size=1,
-        max_size=3,
-    ).map(" + ".join),
-    st.text(alphabet="xyz0123456789v/+-*^() ", max_size=12),
+
+
+def _poly_strategy(atoms, alphabet):
+    atom = st.sampled_from(atoms)
+    factor = st.one_of(
+        atom,
+        st.builds("{}^{}".format, atom, st.integers(0, 9)),
+        st.builds(
+            "({})^{}".format,
+            st.lists(atom, min_size=1, max_size=3).map("+".join),
+            st.integers(0, 9),
+        ),
+    )
+    return st.one_of(
+        st.lists(
+            st.lists(factor, min_size=1, max_size=2).map("*".join),
+            min_size=1,
+            max_size=3,
+        ).map(" + ".join),
+        st.text(alphabet=alphabet, max_size=12),
+    )
+
+
+_poly_text = _poly_strategy(_ATOMS, "xyz0123456789v/+-*^() ")
+_bivariate_text = _poly_strategy(
+    [a for a in _ATOMS if a not in ("z", "x1", "x2")], "xy0123456789v/+-*^() "
 )
 _point_text = st.lists(
     st.sampled_from(["0", "3", "-1/2", "2v", "-inf", "1/0", "q"]), max_size=3
 ).map(",".join)
+_box_text = st.one_of(
+    st.none(),
+    st.lists(
+        st.sampled_from(["-7", "-3", "-1/2", "0", "1/3", "2", "5/2", "9"]),
+        min_size=4,
+        max_size=4,
+    ).map(",".join),
+    st.text(alphabet="0123456789-/,v ", max_size=14),
+)
+
+
+def _small_exponents(text: str) -> bool:
+    # p_pow multiplies step by step, so parsing alone pays for x^99999
+    return not re.search(r"\^\s*\d\d", text)
 
 
 def _cheap(text: str) -> bool:
-    if re.search(r"\^\s*\d\d", text):
+    if not _small_exponents(text):
         return False
     try:
         f = parse_poly(text)
@@ -521,14 +592,24 @@ def _cheap(text: str) -> bool:
 
 @settings(max_examples=150, deadline=None)
 @given(
-    verb=st.sampled_from(["eval", "canon", "equal", "factor", "root"]),
+    verb=st.sampled_from(["eval", "canon", "equal", "factor", "root", "zlocus"]),
     left=_poly_text,
     right=_poly_text,
     point=_point_text,
+    system=st.lists(_bivariate_text, min_size=1, max_size=3),
+    box=_box_text,
+    fmt=st.sampled_from(["json", "text"]),
 )
-def test_polynomial_verbs_never_raise(verb, left, right, point):
-    assume(_cheap(left) and _cheap(right))
-    argv = [verb, "--", left]
+def test_polynomial_verbs_never_raise(verb, left, right, point, system, box, fmt):
+    if verb == "zlocus":
+        assume(all(_small_exponents(text) for text in system))
+        argv = [verb, "--format", fmt]
+        if box is not None:
+            argv.append(f"--box={box}")
+        argv += ["--", *system]
+    else:
+        assume(_cheap(left) and _cheap(right))
+        argv = [verb, "--", left]
     if verb == "eval":
         argv.append(point)
     elif verb == "equal":
@@ -536,6 +617,7 @@ def test_polynomial_verbs_never_raise(verb, left, right, point):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert code != 4 or verb == "zlocus", argv
     assert (code == 0) == bool(out.getvalue()), argv
     assert "Traceback" not in err.getvalue()

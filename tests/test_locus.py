@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from supertrop.errors import PreconditionError
+import locus_oracles as oracle
+from supertrop.core import rat_g, rat_t
+from supertrop.errors import BoundError, PreconditionError
 from supertrop.locus import (
     GHOST_REGION,
+    MAX_TIE_LINES,
     LocusComplex,
     default_box,
     locate,
@@ -17,7 +20,7 @@ from supertrop.locus import (
     to_json,
     z_member,
 )
-from supertrop.poly import p_zero, parse_poly
+from supertrop.poly import make_poly, p_zero, parse_poly
 
 
 def F(v) -> Fraction:
@@ -227,6 +230,109 @@ def test_random_systems_match_grid():
         L = locus2d([f], ((F(-4), F(4)), (F(-4), F(4))))
         assert L.euler_characteristic() == 1
         assert grid_agrees(L, 16)
+
+
+# -- differential checks against the Fraction oracle ---------------------
+
+
+def rand_poly(rng: random.Random, nvars: int, max_terms: int = 4):
+    coeffs = {}
+    for _ in range(rng.randint(1, max_terms)):
+        exp = tuple(rng.randint(0, 3) for _ in range(nvars))
+        v = Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
+        coeffs[exp] = rat_g(v) if rng.random() < 0.3 else rat_t(v)
+    return make_poly(nvars, coeffs)
+
+
+def rand_interval(rng: random.Random) -> tuple[Fraction, Fraction]:
+    while True:
+        a, b = (
+            Fraction(rng.randint(-12, 12), rng.choice([1, 1, 2, 3, 4]))
+            for _ in range(2)
+        )
+        if a != b:
+            return min(a, b), max(a, b)
+
+
+def rand_system(rng: random.Random):
+    polys = [rand_poly(rng, 2) for _ in range(rng.randint(1, 3))]
+    roll = rng.random()
+    if roll < 0.1:
+        polys.append(p_zero(2))
+    elif roll < 0.2:
+        polys = [rand_poly(rng, 2, max_terms=1)]
+    box = None
+    if rng.random() < 0.8:
+        box = (rand_interval(rng), rand_interval(rng))
+    return polys, box
+
+
+def query_points(L: LocusComplex, n: int):
+    (x0, x1), (y0, y1) = L.box
+    pts = [c.witness for c in L.cells]  # vertices, edge midpoints, centroids
+    for i in range(n + 1):
+        t = Fraction(i, n)
+        x, y = x0 + t * (x1 - x0), y0 + t * (y1 - y0)
+        pts += [(x, y0), (x, y1), (x0, y), (x1, y)]  # the box boundary
+        pts += [(x, y0 + Fraction(j, n) * (y1 - y0)) for j in range(n + 1)]
+    return pts
+
+
+def test_locus_matches_fraction_oracle():
+    rng = random.Random(41)
+    fixed = [
+        (triangle_system(1), BOX5),
+        (elliptic("2v"), ((F("-7/2"), F(5)), (F("-9/4"), F(3)))),
+        ([p_zero(2)], BOX5),
+        ([parse_poly("0v*x", nvars=2)], ((F("1/3"), F("1/2")), (F(-1), F(0)))),
+    ]
+    systems = fixed + [rand_system(rng) for _ in range(40)]
+    for polys, box in systems:
+        L = locus2d(polys, box)
+        O = oracle.locus2d(polys, box)
+        assert L.box == O.box
+        assert repr(L.cells) == repr(O.cells), (polys, box)
+        for x, y in query_points(L, 8):
+            assert locate(L, x, y) == oracle.locate(O, x, y), (polys, box, x, y)
+
+
+def test_z_member_matches_p_eval_oracle():
+    rng = random.Random(43)
+    coords = [F(-2), F(-1), F(0), F(1), F(2), F("1/2"), F("-3/2"), F("2/3")]
+    for nvars in (1, 2, 3):
+        for _ in range(150):
+            polys = [rand_poly(rng, nvars) for _ in range(rng.randint(0, 3))]
+            if rng.random() < 0.1:
+                polys.append(p_zero(nvars))
+            point = tuple(rng.choice(coords) for _ in range(nvars))
+            assert z_member(polys, point) == oracle.z_member(polys, point)
+
+
+def many_lines(t: int):
+    """t terms whose t(t-1)/2 tie lines are pairwise distinct: the pair
+    (i, j) ties along x + (i+j)*y = -(i^2 + i*j + j^2)."""
+    return parse_poly(
+        " + ".join(f"{i ** 3}*x^{i}*y^{i * i}" for i in range(t)), nvars=2
+    )
+
+
+def test_tie_line_budget():
+    t = 2
+    while t * (t - 1) // 2 <= MAX_TIE_LINES:
+        t += 1
+    with pytest.raises(BoundError):
+        locus2d([many_lines(t)], BOX5)
+    assert len(oracle._tie_lines([many_lines(t - 1)])) <= MAX_TIE_LINES
+    assert len(oracle._tie_lines([many_lines(t)])) > MAX_TIE_LINES
+    L = locus2d([many_lines(5)], BOX5)
+    assert len(L.lines) == 10 + 4
+    assert L.euler_characteristic() == 1
+    # the k-th binomial ties along x - y = -k; only k = 1 cuts the box
+    parallel = [parse_poly(f"{k}*x + y") for k in range(MAX_TIE_LINES + 1)]
+    unit = ((F(0), F(1)), (F(1), F(2)))
+    assert len(locus2d(parallel[:-1], unit).faces()) == 2
+    with pytest.raises(BoundError):
+        locus2d(parallel, unit)
 
 
 # -- output formats --------------------------------------------------------

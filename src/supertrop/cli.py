@@ -91,10 +91,6 @@ def _parse_box(text: str) -> locus.Box:
     return ((x0, x1), (y0, y1))
 
 
-def _cong_classes(theta: congr.Congruence) -> list[list[str]]:
-    return json.loads(congr.cong_to_json(theta))["classes"]
-
-
 def _dumps(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
@@ -191,7 +187,7 @@ def _cmd_congs(args: argparse.Namespace) -> Payload:
     thetas = congr.enumerate_congruences(R, args.bound, args.kind)
     items = [
         {
-            "classes": _cong_classes(theta),
+            "classes": congr.class_names(theta),
             "flags": sorted(congr.classify(R, theta, args.bound)),
         }
         for theta in thetas

@@ -26,8 +26,8 @@ import itertools
 import json
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
+from functools import cached_property, lru_cache, reduce
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .core import (
     Layer,
@@ -112,14 +112,6 @@ class FiniteNuSemiring:
     @property
     def e(self) -> int:
         return self.add_table[self.one][self.one]
-
-    def power(self, a: int, n: int) -> int:
-        if n < 1:
-            raise ValueError("power exponent must be positive")
-        out = a
-        for _ in range(n - 1):
-            out = self.mul(out, a)
-        return out
 
     def powers_of(self, a: int) -> frozenset[int]:
         """All distinct positive powers of a (the sequence cycles)."""
@@ -235,143 +227,137 @@ class ValidationReport:
 
 
 def validate(R: FiniteNuSemiring) -> ValidationReport:
-    """Run the axiom battery; report the first counterexample per check."""
+    """Run the axiom battery; report the first counterexample per check.
+
+    Each check is a generator of failing witnesses, so a witness string
+    is formatted only for a failure.
+    """
     n = R.size
     rng = range(n)
     nm = R.names
+    add, mul, nu = R.add, R.mul, R.nu
     failures: list[tuple[str, str]] = []
     checked: list[str] = []
 
-    def check(name: str, witness: Optional[str]) -> None:
+    def check(name: str, witnesses: Iterable[str]) -> None:
         checked.append(name)
+        witness = next(iter(witnesses), None)
         if witness is not None:
             failures.append((name, witness))
 
-    def first(pred_pairs) -> Optional[str]:
-        for witness, ok in pred_pairs:
-            if not ok:
-                return witness
-        return None
-
-    check("add-commutative", first(
-        (f"{nm[a]} + {nm[b]}", R.add(a, b) == R.add(b, a))
-        for a in rng for b in rng
+    check("add-commutative", (
+        f"{nm[a]} + {nm[b]}"
+        for a in rng for b in rng if add(a, b) != add(b, a)
     ))
-    check("add-associative", first(
-        (f"({nm[a]} + {nm[b]}) + {nm[c]}",
-         R.add(R.add(a, b), c) == R.add(a, R.add(b, c)))
+    check("add-associative", (
+        f"({nm[a]} + {nm[b]}) + {nm[c]}"
         for a in rng for b in rng for c in rng
+        if add(add(a, b), c) != add(a, add(b, c))
     ))
-    check("add-identity", first(
-        (f"{nm[a]} + 0", R.add(a, R.zero) == a) for a in rng
+    check("add-identity", (
+        f"{nm[a]} + 0" for a in rng if add(a, R.zero) != a
     ))
-    check("mul-commutative", first(
-        (f"{nm[a]} * {nm[b]}", R.mul(a, b) == R.mul(b, a))
-        for a in rng for b in rng
+    check("mul-commutative", (
+        f"{nm[a]} * {nm[b]}"
+        for a in rng for b in rng if mul(a, b) != mul(b, a)
     ))
-    check("mul-associative", first(
-        (f"({nm[a]} * {nm[b]}) * {nm[c]}",
-         R.mul(R.mul(a, b), c) == R.mul(a, R.mul(b, c)))
+    check("mul-associative", (
+        f"({nm[a]} * {nm[b]}) * {nm[c]}"
         for a in rng for b in rng for c in rng
+        if mul(mul(a, b), c) != mul(a, mul(b, c))
     ))
-    check("mul-identity", first(
-        (f"{nm[a]} * 1", R.mul(a, R.one) == a) for a in rng
+    check("mul-identity", (
+        f"{nm[a]} * 1" for a in rng if mul(a, R.one) != a
     ))
-    check("mul-zero", first(
-        (f"{nm[a]} * 0", R.mul(a, R.zero) == R.zero) for a in rng
+    check("mul-zero", (
+        f"{nm[a]} * 0" for a in rng if mul(a, R.zero) != R.zero
     ))
-    check("distributive", first(
-        (f"{nm[a]} * ({nm[b]} + {nm[c]})",
-         R.mul(a, R.add(b, c)) == R.add(R.mul(a, b), R.mul(a, c)))
+    check("distributive", (
+        f"{nm[a]} * ({nm[b]} + {nm[c]})"
         for a in rng for b in rng for c in rng
+        if mul(a, add(b, c)) != add(mul(a, b), mul(a, c))
     ))
-    check("nu-is-e-multiple", first(
-        (f"nu({nm[a]})", R.nu(a) == R.mul(R.e, a)) for a in rng
+    check("nu-is-e-multiple", (
+        f"nu({nm[a]})" for a in rng if nu(a) != mul(R.e, a)
     ))
-    check("nu-idempotent", first(
-        (f"nu(nu({nm[a]}))", R.nu(R.nu(a)) == R.nu(a)) for a in rng
+    check("nu-idempotent", (
+        f"nu(nu({nm[a]}))" for a in rng if nu(nu(a)) != nu(a)
     ))
-    check("nu-kernel-trivial", first(
-        (f"nu({nm[a]}) = 0", a == R.zero)
-        for a in rng if R.nu(a) == R.zero
+    check("nu-kernel-trivial", (
+        f"nu({nm[a]}) = 0" for a in rng if nu(a) == R.zero and a != R.zero
     ))
-    check("tangible-partition", first(
-        [
-            ("zero tangible", R.zero not in R.tangible),
-            ("one not tangible", R.one in R.tangible),
-            (
-                "tangible meets ghost",
-                not (R.tangible & R.ghost0),
-            ),
-        ]
-    ))
-    check("ghost-ideal", first(
-        (f"{nm[a]} * {nm[g]}", R.mul(a, g) in R.ghost0)
-        for a in rng for g in R.ghost0
-    ))
-    check("nu-order-total", first(
-        (f"nu({nm[a]}) + nu({nm[b]})",
-         R.add(R.nu(a), R.nu(b)) in (R.nu(a), R.nu(b)))
-        for a in rng for b in rng
-    ))
-    check("nm-dominance", first(
-        (f"{nm[a]} + {nm[b]}", R.add(a, b) == a)
-        for a in rng for b in rng
-        if R.nu(a) != R.nu(b) and R.add(R.nu(a), R.nu(b)) == R.nu(a)
-    ))
-    check("nm-tie", first(
-        (f"{nm[a]} + {nm[b]}", R.add(a, b) == R.nu(a))
-        for a in rng for b in rng
-        if R.nu(a) == R.nu(b)
-    ))
-    check("nm-zero", first(
-        (f"{nm[a]} + {nm[b]}", R.add(a, b) == b)
-        for a in rng for b in rng
-        if R.nu(a) == R.zero
-    ))
-    check("prudent-powers", first(
-        (f"{nm[a]}^k", R.powers_of(a) <= R.prudent)
-        for a in R.prudent
-    ))
-    check("prudent-maximal", first(
-        [(
-            "prudent differs from the maximal admissible set",
-            R.prudent == computed_prudent(n, R.mul_table, R.tangible),
-        )]
-    ))
-    check("units-prudent", first(
-        (f"unit {nm[u]}", u in R.prudent) for u in R.units
-    ))
-    check("tangible-sum-stability", first(
-        (f"{nm[a]} + nu({nm[b]})", R.add(a, R.nu(b)) not in R.ghost0)
-        for a in rng for b in rng
-        if R.add(a, b) in R.tangible and R.add(a, b) not in (a, b)
-    ))
-    mixed = [
-        m for m in rng if m not in R.tangible and m not in R.ghost0
-    ]
-    check("tame", first(
-        (
-            f"{nm[m]} has no tangible c + nu(d) decomposition",
-            any(
-                R.add(c, R.nu(d)) == m
-                for c in R.tangible for d in R.tangible
-            ),
+    check("tangible-partition", (
+        witness
+        for witness, bad in (
+            ("zero tangible", R.zero in R.tangible),
+            ("one not tangible", R.one not in R.tangible),
+            ("tangible meets ghost", bool(R.tangible & R.ghost0)),
         )
-        for m in mixed
+        if bad
+    ))
+    check("ghost-ideal", (
+        f"{nm[a]} * {nm[g]}"
+        for a in rng for g in R.ghost0 if mul(a, g) not in R.ghost0
+    ))
+    check("nu-order-total", (
+        f"nu({nm[a]}) + nu({nm[b]})"
+        for a in rng for b in rng
+        if add(nu(a), nu(b)) not in (nu(a), nu(b))
+    ))
+    check("nm-dominance", (
+        f"{nm[a]} + {nm[b]}"
+        for a in rng for b in rng
+        if nu(a) != nu(b) and add(nu(a), nu(b)) == nu(a) and add(a, b) != a
+    ))
+    check("nm-tie", (
+        f"{nm[a]} + {nm[b]}"
+        for a in rng for b in rng
+        if nu(a) == nu(b) and add(a, b) != nu(a)
+    ))
+    check("nm-zero", (
+        f"{nm[a]} + {nm[b]}"
+        for a in rng for b in rng
+        if nu(a) == R.zero and add(a, b) != b
+    ))
+    check("prudent-powers", (
+        f"{nm[a]}^k" for a in R.prudent if not R.powers_of(a) <= R.prudent
+    ))
+    check("prudent-maximal", (
+        ["prudent differs from the maximal admissible set"]
+        if R.prudent != computed_prudent(n, R.mul_table, R.tangible)
+        else []
+    ))
+    check("units-prudent", (
+        f"unit {nm[u]}" for u in R.units if u not in R.prudent
+    ))
+    check("tangible-sum-stability", (
+        f"{nm[a]} + nu({nm[b]})"
+        for a in rng for b in rng
+        if add(a, b) in R.tangible and add(a, b) not in (a, b)
+        and add(a, nu(b)) in R.ghost0
+    ))
+    check("tame", (
+        f"{nm[m]} has no tangible c + nu(d) decomposition"
+        for m in rng
+        if m not in R.tangible and m not in R.ghost0
+        and not any(
+            add(c, nu(d)) == m for c in R.tangible for d in R.tangible
+        )
     ))
     return ValidationReport(
         not failures, tuple(failures), tuple(checked)
     )
 
 
-def require_valid(R: FiniteNuSemiring) -> None:
-    report = _validate_cached(R)
+def _require_passed(report: ValidationReport, what: str) -> None:
     if not report.passed:
         raise PreconditionError(
-            "carrier fails validation: "
-            + ", ".join(report.failed_checks())
+            f"{what} fails validation: " + ", ".join(report.failed_checks())
         )
+
+
+def require_valid(R: FiniteNuSemiring) -> None:
+    _require_passed(_validate_cached(R), "carrier")
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -514,12 +500,6 @@ def cong_closure(
 def ghostify(R: FiniteNuSemiring, elements: Iterable[int]) -> Congruence:
     """Least congruence making every given element a ghost."""
     return cong_closure(R, [(b, R.nu(b)) for b in elements])
-
-
-def clusters(
-    R: FiniteNuSemiring, theta: Congruence
-) -> tuple[frozenset[int], frozenset[int]]:
-    return theta.iT, theta.iG
 
 
 def cong_intersect(*congs: Congruence) -> Congruence:
@@ -681,14 +661,34 @@ def enumerate_congruences(
 # -- quotients and localizations ----------------------------------------
 
 
+def _op_tables(
+    reps: Sequence,
+    index: Mapping | Sequence[int],
+    add: Callable,
+    mul: Callable,
+    nu: Callable,
+) -> tuple[
+    tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], tuple[int, ...]
+]:
+    """Add, mul and nu tables of the carrier whose element i stands for
+    reps[i]; index maps each result of add, mul and nu to an element."""
+    return (
+        tuple(tuple(index[add(x, y)] for y in reps) for x in reps),
+        tuple(tuple(index[mul(x, y)] for y in reps) for x in reps),
+        tuple(index[nu(x)] for x in reps),
+    )
+
+
 def quotient(
     R: FiniteNuSemiring, theta: Congruence
 ) -> tuple[FiniteNuSemiring, tuple[int, ...]]:
     """Carrier of classes plus the projection map.
 
-    Requires a q-congruence; otherwise some unit's class leaks out of
-    the tangible part and the quotient has no consistent layering.
+    Requires a valid carrier and a q-congruence; without the latter,
+    some unit's class leaks out of the tangible part and the quotient
+    has no consistent layering.
     """
+    require_valid(R)
     for u in sorted(R.units):
         if u not in theta.iT:
             cls = "{" + ", ".join(R.names[i] for i in theta.class_of(u)) + "}"
@@ -698,38 +698,24 @@ def quotient(
             )
     classes = theta.classes()
     class_idx = {members[0]: k for k, members in enumerate(classes)}
-    proj = tuple(class_idx[theta.reps[a]] for a in range(R.size))
-    names = tuple(
-        "|".join(R.names[i] for i in members) for members in classes
+    proj = tuple(class_idx[r] for r in theta.reps)
+    add_t, mul_t, nu_t = _op_tables(
+        [members[0] for members in classes], proj, R.add, R.mul, R.nu
     )
-    n = len(classes)
-    add_t = tuple(
-        tuple(proj[R.add(classes[i][0], classes[j][0])] for j in range(n))
-        for i in range(n)
-    )
-    mul_t = tuple(
-        tuple(proj[R.mul(classes[i][0], classes[j][0])] for j in range(n))
-        for i in range(n)
-    )
-    nu_t = tuple(proj[R.nu(classes[i][0])] for i in range(n))
     tangible = frozenset(
         k for k, members in enumerate(classes) if set(members) <= R.tangible
     )
     out = FiniteNuSemiring(
-        names,
+        tuple("|".join(R.names[i] for i in members) for members in classes),
         proj[R.zero],
         proj[R.one],
         add_t,
         mul_t,
         nu_t,
         tangible,
-        computed_prudent(n, mul_t, tangible),
+        computed_prudent(len(classes), mul_t, tangible),
     )
-    report = validate(out)
-    if not report.passed:
-        raise PreconditionError(
-            "quotient fails validation: " + ", ".join(report.failed_checks())
-        )
+    _require_passed(validate(out), "quotient")
     return out, proj
 
 
@@ -745,7 +731,18 @@ def localize_finite(
     kernel of a -> a/1 is exactly {a : a*c in ghost0 for some c in C}.
     Denominators that are not units therefore make a -> a/1 lossy on
     finite carriers.
+
+    The classes are keyed directly.  Let s be the product of C and r_c
+    the product of C without c, so that c*r_c = s.  Then a/c and b/d
+    are identified exactly when a*r_c*s^2 = b*r_d*s^2: multiplying
+    a*d*c'' = b*c*c'' by r_c*r_d*r_c'' gives the key equation, and
+    conversely c'' = r_c*r_d*s^2 lies in C and equalizes a/c and b/d.
+    So the relation is already transitive, and one pass over the
+    fractions finds its classes, each numbered by its least fraction.
+    Both directions use commutativity and associativity, so the carrier
+    must pass validation.
     """
+    require_valid(R)
     C = sorted(set(C))
     if R.one not in C:
         raise PreconditionError("localization set must contain one")
@@ -763,83 +760,48 @@ def localize_finite(
                     f"{R.names[c]} * {R.names[d]} escapes"
                 )
 
-    pairs = [(a, c) for a in range(R.size) for c in C]
-    idx = {p: i for i, p in enumerate(pairs)}
-    parent = list(range(len(pairs)))
+    mul = R.mul
+    s = reduce(mul, C)
+    s2 = mul(s, s)
+    rest = {c: reduce(mul, [d for d in C if d != c], R.one) for c in C}
+    by_key: dict[int, list[tuple[int, int]]] = {}
+    for a in range(R.size):
+        for c in C:
+            by_key.setdefault(mul(mul(a, rest[c]), s2), []).append((a, c))
+    classes = list(by_key.values())
+    cls = {p: k for k, members in enumerate(classes) for p in members}
 
-    def related(p: tuple[int, int], q: tuple[int, int]) -> bool:
-        (a, c), (a2, c2) = p, q
-        return any(
-            R.mul(R.mul(a, c2), c3) == R.mul(R.mul(a2, c), c3) for c3 in C
-        )
+    def name_of(members: list[tuple[int, int]]) -> str:
+        ghostly = [p for p in members if p[0] not in R.tangible]
+        a, c = min(ghostly or members)
+        return R.names[a] if c == R.one else f"{R.names[a]}/{R.names[c]}"
 
-    for i, p in enumerate(pairs):
-        for j in range(i + 1, len(pairs)):
-            if _find(parent, i) != _find(parent, j) and related(p, pairs[j]):
-                _union(parent, i, j)
-
-    root_of = _canonical_reps(parent)
-    roots = sorted(set(root_of))
-    class_no = {r: k for k, r in enumerate(roots)}
-    of_pair = [class_no[r] for r in root_of]
-    members: list[list[tuple[int, int]]] = [[] for _ in roots]
-    for i, p in enumerate(pairs):
-        members[of_pair[i]].append(p)
-
-    tangible_cls = set()
-    for k, mem in enumerate(members):
-        if all(a in R.tangible for a, _ in mem):
-            tangible_cls.add(k)
-
-    def cls(a: int, c: int) -> int:
-        return of_pair[idx[(a, c)]]
-
-    def name_of(k: int) -> str:
-        mem = members[k]
-        if k not in tangible_cls:
-            ghostly = [p for p in mem if p[0] not in R.tangible]
-            if ghostly:
-                mem = ghostly
-        a, c = min(mem)
-        if c == R.one:
-            return R.names[a]
-        return f"{R.names[a]}/{R.names[c]}"
-
-    n = len(roots)
-    add_t = []
-    mul_t = []
-    for i in range(n):
-        a, c = members[i][0]
-        row_a = []
-        row_m = []
-        for j in range(n):
-            a2, c2 = members[j][0]
-            row_a.append(
-                cls(R.add(R.mul(a, c2), R.mul(a2, c)), R.mul(c, c2))
-            )
-            row_m.append(cls(R.mul(a, a2), R.mul(c, c2)))
-        add_t.append(tuple(row_a))
-        mul_t.append(tuple(row_m))
-    nu_t = tuple(cls(R.nu(members[i][0][0]), members[i][0][1]) for i in range(n))
-
-    out = FiniteNuSemiring(
-        tuple(name_of(k) for k in range(n)),
-        cls(R.zero, R.one),
-        cls(R.one, R.one),
-        tuple(add_t),
-        tuple(mul_t),
-        nu_t,
-        frozenset(tangible_cls),
-        computed_prudent(n, tuple(mul_t), frozenset(tangible_cls)),
+    add_t, mul_t, nu_t = _op_tables(
+        [members[0] for members in classes],
+        cls,
+        lambda p, q: (
+            R.add(mul(p[0], q[1]), mul(q[0], p[1])), mul(p[1], q[1])
+        ),
+        lambda p, q: (mul(p[0], q[0]), mul(p[1], q[1])),
+        lambda p: (R.nu(p[0]), p[1]),
     )
-    report = validate(out)
-    if not report.passed:
-        raise PreconditionError(
-            "localization fails validation: "
-            + ", ".join(report.failed_checks())
-        )
-    tau = tuple(cls(a, R.one) for a in range(R.size))
-    return out, tau
+    tangible = frozenset(
+        k
+        for k, members in enumerate(classes)
+        if all(a in R.tangible for a, _ in members)
+    )
+    out = FiniteNuSemiring(
+        tuple(name_of(members) for members in classes),
+        cls[(R.zero, R.one)],
+        cls[(R.one, R.one)],
+        add_t,
+        mul_t,
+        nu_t,
+        tangible,
+        computed_prudent(len(classes), mul_t, tangible),
+    )
+    _require_passed(validate(out), "localization")
+    return out, tuple(cls[(a, R.one)] for a in range(R.size))
 
 
 # -- radicals -----------------------------------------------------------
@@ -1078,13 +1040,14 @@ def semiring_from_json(text: str) -> FiniteNuSemiring:
     return R
 
 
-def cong_to_json(theta: Congruence) -> str:
+def class_names(theta: Congruence) -> list[list[str]]:
+    """The classes of theta, each as the names of its members."""
     R = theta.semiring
-    obj = {
-        "classes": [
-            [R.names[i] for i in members] for members in theta.classes()
-        ]
-    }
+    return [[R.names[i] for i in members] for members in theta.classes()]
+
+
+def cong_to_json(theta: Congruence) -> str:
+    obj = {"classes": class_names(theta)}
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
@@ -1121,16 +1084,9 @@ def _from_kernel(
     elems: Sequence[NuElement], names: Sequence[str]
 ) -> FiniteNuSemiring:
     index = {el: i for i, el in enumerate(elems)}
-    n = len(elems)
-    add_t = [
-        [index[kernel_add(elems[i], elems[j])] for j in range(n)]
-        for i in range(n)
-    ]
-    mul_t = [
-        [index[kernel_mul(elems[i], elems[j])] for j in range(n)]
-        for i in range(n)
-    ]
-    nu_t = [index[kernel_nu(elems[i])] for i in range(n)]
+    add_t, mul_t, nu_t = _op_tables(
+        elems, index, kernel_add, kernel_mul, kernel_nu
+    )
     zero = next(i for i, el in enumerate(elems) if el.layer is Layer.ZERO)
     one = index[one_of(elems[zero].monoid)]
     tangible = frozenset(
@@ -1312,18 +1268,9 @@ def permute_semiring(
     inv = [0] * R.size
     for i, p in enumerate(perm):
         inv[p] = i
-    names = tuple(R.names[inv[i]] for i in range(R.size))
-    add_t = tuple(
-        tuple(perm[R.add(inv[i], inv[j])] for j in range(R.size))
-        for i in range(R.size)
-    )
-    mul_t = tuple(
-        tuple(perm[R.mul(inv[i], inv[j])] for j in range(R.size))
-        for i in range(R.size)
-    )
-    nu_t = tuple(perm[R.nu(inv[i])] for i in range(R.size))
+    add_t, mul_t, nu_t = _op_tables(inv, perm, R.add, R.mul, R.nu)
     return FiniteNuSemiring(
-        names,
+        tuple(R.names[i] for i in inv),
         perm[R.zero],
         perm[R.one],
         add_t,

@@ -32,6 +32,7 @@ from .congr import (
     FLAG_PRIME,
     FiniteNuSemiring,
     _basic_flags,
+    class_names,
     classify,
     cong_intersect,
     crad,
@@ -466,9 +467,7 @@ def spectrum_to_json(S: Spectrum, bound: int = DEFAULT_BOUND) -> str:
     for p in S.points:
         points.append(
             {
-                "classes": [
-                    [R.names[i] for i in cls] for cls in p.classes()
-                ],
+                "classes": class_names(p),
                 "iT": sorted(R.names[i] for i in p.iT),
                 "iG": sorted(R.names[i] for i in p.iG),
                 "flags": sorted(classify(R, p, bound)),

@@ -1,9 +1,27 @@
-"""Slow, independent congruence oracles shared by the test modules.
+"""Slow, independent carrier oracles shared by the test modules.
 
-Each one reads only a carrier's tables and shares no code with
-supertrop.congr, so the library's lattice and closure can be checked
-against them.  All return least-representative tuples (reps).
+The congruence oracles read only a carrier's tables and share no code
+with supertrop.congr, so the library's lattice and closure can be
+checked against them.  All return least-representative tuples (reps).
+
+The last two are the library's former validate, which formatted a
+witness for every case it checked, and its former localize_finite,
+which found the fraction classes by a pairwise union-find over all
+fraction pairs.  They are kept verbatim as differential references.
 """
+
+from typing import Iterable, Optional
+
+from supertrop.congr import (
+    FiniteNuSemiring,
+    ValidationReport,
+    _canonical_reps,
+    _find,
+    _union,
+    computed_prudent,
+    validate,
+)
+from supertrop.errors import PreconditionError
 
 
 def all_partition_reps(n: int):
@@ -137,3 +155,243 @@ def partition_join(x, y):
                     changed = True
     first = {}
     return tuple(first.setdefault(label[i], i) for i in range(n))
+
+
+def eager_validate(R: FiniteNuSemiring) -> ValidationReport:
+    """Run the axiom battery; report the first counterexample per check."""
+    n = R.size
+    rng = range(n)
+    nm = R.names
+    failures: list[tuple[str, str]] = []
+    checked: list[str] = []
+
+    def check(name: str, witness: Optional[str]) -> None:
+        checked.append(name)
+        if witness is not None:
+            failures.append((name, witness))
+
+    def first(pred_pairs) -> Optional[str]:
+        for witness, ok in pred_pairs:
+            if not ok:
+                return witness
+        return None
+
+    check("add-commutative", first(
+        (f"{nm[a]} + {nm[b]}", R.add(a, b) == R.add(b, a))
+        for a in rng for b in rng
+    ))
+    check("add-associative", first(
+        (f"({nm[a]} + {nm[b]}) + {nm[c]}",
+         R.add(R.add(a, b), c) == R.add(a, R.add(b, c)))
+        for a in rng for b in rng for c in rng
+    ))
+    check("add-identity", first(
+        (f"{nm[a]} + 0", R.add(a, R.zero) == a) for a in rng
+    ))
+    check("mul-commutative", first(
+        (f"{nm[a]} * {nm[b]}", R.mul(a, b) == R.mul(b, a))
+        for a in rng for b in rng
+    ))
+    check("mul-associative", first(
+        (f"({nm[a]} * {nm[b]}) * {nm[c]}",
+         R.mul(R.mul(a, b), c) == R.mul(a, R.mul(b, c)))
+        for a in rng for b in rng for c in rng
+    ))
+    check("mul-identity", first(
+        (f"{nm[a]} * 1", R.mul(a, R.one) == a) for a in rng
+    ))
+    check("mul-zero", first(
+        (f"{nm[a]} * 0", R.mul(a, R.zero) == R.zero) for a in rng
+    ))
+    check("distributive", first(
+        (f"{nm[a]} * ({nm[b]} + {nm[c]})",
+         R.mul(a, R.add(b, c)) == R.add(R.mul(a, b), R.mul(a, c)))
+        for a in rng for b in rng for c in rng
+    ))
+    check("nu-is-e-multiple", first(
+        (f"nu({nm[a]})", R.nu(a) == R.mul(R.e, a)) for a in rng
+    ))
+    check("nu-idempotent", first(
+        (f"nu(nu({nm[a]}))", R.nu(R.nu(a)) == R.nu(a)) for a in rng
+    ))
+    check("nu-kernel-trivial", first(
+        (f"nu({nm[a]}) = 0", a == R.zero)
+        for a in rng if R.nu(a) == R.zero
+    ))
+    check("tangible-partition", first(
+        [
+            ("zero tangible", R.zero not in R.tangible),
+            ("one not tangible", R.one in R.tangible),
+            (
+                "tangible meets ghost",
+                not (R.tangible & R.ghost0),
+            ),
+        ]
+    ))
+    check("ghost-ideal", first(
+        (f"{nm[a]} * {nm[g]}", R.mul(a, g) in R.ghost0)
+        for a in rng for g in R.ghost0
+    ))
+    check("nu-order-total", first(
+        (f"nu({nm[a]}) + nu({nm[b]})",
+         R.add(R.nu(a), R.nu(b)) in (R.nu(a), R.nu(b)))
+        for a in rng for b in rng
+    ))
+    check("nm-dominance", first(
+        (f"{nm[a]} + {nm[b]}", R.add(a, b) == a)
+        for a in rng for b in rng
+        if R.nu(a) != R.nu(b) and R.add(R.nu(a), R.nu(b)) == R.nu(a)
+    ))
+    check("nm-tie", first(
+        (f"{nm[a]} + {nm[b]}", R.add(a, b) == R.nu(a))
+        for a in rng for b in rng
+        if R.nu(a) == R.nu(b)
+    ))
+    check("nm-zero", first(
+        (f"{nm[a]} + {nm[b]}", R.add(a, b) == b)
+        for a in rng for b in rng
+        if R.nu(a) == R.zero
+    ))
+    check("prudent-powers", first(
+        (f"{nm[a]}^k", R.powers_of(a) <= R.prudent)
+        for a in R.prudent
+    ))
+    check("prudent-maximal", first(
+        [(
+            "prudent differs from the maximal admissible set",
+            R.prudent == computed_prudent(n, R.mul_table, R.tangible),
+        )]
+    ))
+    check("units-prudent", first(
+        (f"unit {nm[u]}", u in R.prudent) for u in R.units
+    ))
+    check("tangible-sum-stability", first(
+        (f"{nm[a]} + nu({nm[b]})", R.add(a, R.nu(b)) not in R.ghost0)
+        for a in rng for b in rng
+        if R.add(a, b) in R.tangible and R.add(a, b) not in (a, b)
+    ))
+    mixed = [
+        m for m in rng if m not in R.tangible and m not in R.ghost0
+    ]
+    check("tame", first(
+        (
+            f"{nm[m]} has no tangible c + nu(d) decomposition",
+            any(
+                R.add(c, R.nu(d)) == m
+                for c in R.tangible for d in R.tangible
+            ),
+        )
+        for m in mixed
+    ))
+    return ValidationReport(
+        not failures, tuple(failures), tuple(checked)
+    )
+
+
+def pairwise_localize_finite(
+    R: FiniteNuSemiring, C: Iterable[int]
+) -> tuple[FiniteNuSemiring, tuple[int, ...]]:
+    """Fractions a/c over a prudent tangible monoid C, plus a -> a/1.
+
+    Two fractions are identified when some c'' in C equalizes them.  A
+    fraction class is tangible only when every numerator appearing in it
+    is tangible.  When a tangible numerator collides with a ghost one
+    (a*c'' = b*c'' with b ghost), the whole class is ghost: the ghost
+    kernel of a -> a/1 is exactly {a : a*c in ghost0 for some c in C}.
+    Denominators that are not units therefore make a -> a/1 lossy on
+    finite carriers.
+    """
+    C = sorted(set(C))
+    if R.one not in C:
+        raise PreconditionError("localization set must contain one")
+    stray = [c for c in C if c not in R.prudent]
+    if stray:
+        raise PreconditionError(
+            "localization only by prudent elements; offending: "
+            + ", ".join(R.names[c] for c in stray)
+        )
+    for c in C:
+        for d in C:
+            if R.mul(c, d) not in C:
+                raise PreconditionError(
+                    "localization set is not multiplicatively closed: "
+                    f"{R.names[c]} * {R.names[d]} escapes"
+                )
+
+    pairs = [(a, c) for a in range(R.size) for c in C]
+    idx = {p: i for i, p in enumerate(pairs)}
+    parent = list(range(len(pairs)))
+
+    def related(p: tuple[int, int], q: tuple[int, int]) -> bool:
+        (a, c), (a2, c2) = p, q
+        return any(
+            R.mul(R.mul(a, c2), c3) == R.mul(R.mul(a2, c), c3) for c3 in C
+        )
+
+    for i, p in enumerate(pairs):
+        for j in range(i + 1, len(pairs)):
+            if _find(parent, i) != _find(parent, j) and related(p, pairs[j]):
+                _union(parent, i, j)
+
+    root_of = _canonical_reps(parent)
+    roots = sorted(set(root_of))
+    class_no = {r: k for k, r in enumerate(roots)}
+    of_pair = [class_no[r] for r in root_of]
+    members: list[list[tuple[int, int]]] = [[] for _ in roots]
+    for i, p in enumerate(pairs):
+        members[of_pair[i]].append(p)
+
+    tangible_cls = set()
+    for k, mem in enumerate(members):
+        if all(a in R.tangible for a, _ in mem):
+            tangible_cls.add(k)
+
+    def cls(a: int, c: int) -> int:
+        return of_pair[idx[(a, c)]]
+
+    def name_of(k: int) -> str:
+        mem = members[k]
+        if k not in tangible_cls:
+            ghostly = [p for p in mem if p[0] not in R.tangible]
+            if ghostly:
+                mem = ghostly
+        a, c = min(mem)
+        if c == R.one:
+            return R.names[a]
+        return f"{R.names[a]}/{R.names[c]}"
+
+    n = len(roots)
+    add_t = []
+    mul_t = []
+    for i in range(n):
+        a, c = members[i][0]
+        row_a = []
+        row_m = []
+        for j in range(n):
+            a2, c2 = members[j][0]
+            row_a.append(
+                cls(R.add(R.mul(a, c2), R.mul(a2, c)), R.mul(c, c2))
+            )
+            row_m.append(cls(R.mul(a, a2), R.mul(c, c2)))
+        add_t.append(tuple(row_a))
+        mul_t.append(tuple(row_m))
+    nu_t = tuple(cls(R.nu(members[i][0][0]), members[i][0][1]) for i in range(n))
+
+    out = FiniteNuSemiring(
+        tuple(name_of(k) for k in range(n)),
+        cls(R.zero, R.one),
+        cls(R.one, R.one),
+        tuple(add_t),
+        tuple(mul_t),
+        nu_t,
+        frozenset(tangible_cls),
+        computed_prudent(n, tuple(mul_t), frozenset(tangible_cls)),
+    )
+    report = validate(out)
+    if not report.passed:
+        raise PreconditionError(
+            "localization fails validation: "
+            + ", ".join(report.failed_checks())
+        )
+    tau = tuple(cls(a, R.one) for a in range(R.size))
+    return out, tau

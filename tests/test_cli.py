@@ -1,6 +1,7 @@
 """Command-line front end: verbs, exit codes, stable bytes, round-trips."""
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -17,7 +18,9 @@ from supertrop.congr import (
     MAX_CHAIN,
     bundled_suite,
     builtin_semiring,
+    class_names,
     enumerate_congruences,
+    flat_idempotent,
     superboolean,
     to_json,
 )
@@ -309,6 +312,93 @@ def test_stalk(capsys):
     )
     assert code == 0
     assert set(json.loads(out)["elements"]) == {"0", "1", "t", "1v"}
+
+
+# sha256 of the stdout of the quotient, localize, sections and stalk
+# verbs, produced by the pairwise localization kept in
+# tests/congr_oracles.py, which the keyed fraction classes must
+# reproduce byte for byte: the README examples, a str-chain:4 case of
+# each verb, a localization with a collision class, and a stalk that
+# inverts a non-unit; then congs and spec on str-chain:4, whose classes
+# list their members in index order, not in name order
+CARRIER_GOLDENS = [
+    (
+        ["quotient", "--semiring", "str-chain:2", "--congruence",
+         '{"classes": [["0"], ["1"], ["1v"], ["a", "av"]]}'],
+        "b213953d32b10d491b579269f3a345e9b41ab01c0981c0b4594dda9750005b10",
+    ),
+    (
+        ["quotient", "--semiring", "str-chain:4", "--bound", "9",
+         "--congruence",
+         '{"classes": [["0"], ["1"], ["1v"], ["a", "av"], ["a2", "a2v"], '
+         '["a3"], ["a3v"]]}'],
+        "68f52ea4dfa71c1e5398efaa61d90961f335f7687f7ba07e483ffc63d7683e6c",
+    ),
+    (
+        ["localize", "--semiring", "mixed-units", "--monoid", "1,t"],
+        "f260ccc9db5041175f77ff12cba2221ca29057b8e208e8a54695761a5140766c",
+    ),
+    (
+        ["localize", "--semiring", "str-chain:4", "--monoid", "1"],
+        "5bb032b0037bde3a0257fdc086a7c40b5c1729d25644fb813a187733b83fd68d",
+    ),
+    (
+        ["localize", "--semiring", "two-level-g", "--monoid", "1,t"],
+        "502b1eb196021b49334fb9da112fd34161bb37dcf8691a5ab0efd62e42f0a9ac",
+    ),
+    (
+        ["sections", "--semiring", "superboolean", "--element", "b1"],
+        "92a20535194002e5302857c6736f97e212612dda28566d9b86d61c168fb1f523",
+    ),
+    (
+        ["sections", "--semiring", "str-chain:4", "--bound", "9",
+         "--element", "a2"],
+        "f67c0b6ec3459291f4e0ff1b6497d0674be5251caac2400895ac8e67a7af58ef",
+    ),
+    (
+        ["stalk", "--semiring", "flat-idempotent", "--point", "1"],
+        "78f7968c44dae05a8cc8f71ca4334993ac67e73ab82224ea983b965da70a90ca",
+    ),
+    (
+        ["stalk", "--semiring", "str-chain:4", "--bound", "9", "--point", "5"],
+        "f67c0b6ec3459291f4e0ff1b6497d0674be5251caac2400895ac8e67a7af58ef",
+    ),
+    (
+        ["stalk", "--semiring", "two-level-t", "--point", "2"],
+        "7a0ea2483581ab6db8a9ca3fc267901af60c4c45fa0c5bbd63afe0690aa4b2b4",
+    ),
+    (
+        ["congs", "--semiring", "str-chain:4", "--bound", "9"],
+        "17fd087519cff7c4c564023ea754e38fbce902fa2de95f99ad1f75fd86935b30",
+    ),
+    (
+        ["spec", "--semiring", "str-chain:4", "--bound", "9"],
+        "f4ab43b80c6f40d39843bd8d0ae1e910e4b38b359b9ad4ab50a2f5a5ba979130",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", CARRIER_GOLDENS)
+def test_carrier_verb_golden_digests(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_quotient_and_localize_reject_invalid_carrier_exit_3(capsys):
+    obj = json.loads(to_json(flat_idempotent()))
+    obj["prudent"] = ["1"]  # t belongs to the maximal admissible set
+    carrier = json.dumps(obj)
+    diagonal = json.dumps({"classes": [[x] for x in obj["elements"]]})
+    for argv in (
+        ["quotient", "--congruence", diagonal],
+        ["localize", "--monoid", "1"],
+    ):
+        code, out, err = run(capsys, *argv, "--semiring", carrier)
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [
+            "precondition violated: carrier fails validation: prudent-maximal"
+        ]
 
 
 def test_nullcheck_aggregates_all_q_congruences(capsys):
@@ -621,3 +711,92 @@ def test_polynomial_verbs_never_raise(verb, left, right, point, system, box, fmt
     assert code != 4 or verb == "zlocus", argv
     assert (code == 0) == bool(out.getvalue()), argv
     assert "Traceback" not in err.getvalue()
+
+
+# The carrier verbs read inline JSON carriers of at most 7 elements: a
+# bundled carrier as it is, with edited tables, subsets, zero or one,
+# or malformed text.  Congruences are the base carrier's own, random
+# partitions, or malformed text; element lists may name unknown
+# elements.  Malformed text starts with "{", so it is never read as a
+# file path or a builtin name.
+
+_VERBS = ["validate", "congs", "radical", "quotient", "localize",
+          "sections", "stalk", "nullcheck", "krullcheck"]
+_BASES = [
+    (json.loads(to_json(R)), [class_names(c) for c in enumerate_congruences(R)])
+    for _, R in bundled_suite()
+]
+_junk = st.text(alphabet='{}[]":,01abtv ', max_size=16).map("{".__add__)
+
+
+@st.composite
+def _carrier_argv(draw):
+    obj, congs = draw(st.sampled_from(_BASES))
+    obj = copy.deepcopy(obj)
+    names, one = obj["elements"], obj["one"]
+    name = st.sampled_from(names + ["zz"])
+    edits = st.tuples(
+        st.sampled_from(["add", "mul", "nu", "tangible", "prudent", "zero",
+                         "one"]),
+        st.integers(0, len(names) - 1), st.integers(0, len(names) - 1),
+        name,
+    )
+    for field, i, j, v in draw(st.lists(edits, max_size=3)):
+        if field in ("add", "mul"):
+            obj[field][i][j] = v
+        elif field == "nu":
+            obj["nu"][names[i]] = v
+        elif field in ("tangible", "prudent"):
+            obj[field] = sorted(set(obj[field]) ^ {v})
+        else:
+            obj[field] = v
+    if draw(st.integers(0, 7)) == 0:
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    carrier = json.dumps(obj) if draw(st.integers(0, 7)) else draw(_junk)
+    labels = st.lists(
+        st.integers(0, len(names) - 1), min_size=len(names),
+        max_size=len(names),
+    )
+    partition = labels.map(lambda ks: [
+        [x for x, k in zip(names, ks) if k == block] for block in sorted(set(ks))
+    ])
+    congruence = draw(st.one_of(
+        st.sampled_from(congs).map(lambda cs: json.dumps({"classes": cs})),
+        partition.map(lambda cs: json.dumps({"classes": cs})),
+        _junk,
+    ))
+    elements = ",".join(
+        draw(st.sampled_from([[], [one]])) + draw(st.lists(name, max_size=3))
+    )
+    verb = draw(st.sampled_from(_VERBS))
+    argv = [verb, "--semiring", carrier]
+    argv += draw(st.sampled_from([[], ["--bound", "0"], ["--bound", "9"]]))
+    if verb == "congs":
+        argv += draw(st.sampled_from(
+            [[]] + [["--kind", k] for k in ("QCong", "NuPrime", "MaximalL")]
+        ))
+    elif verb == "radical":
+        argv += draw(st.sampled_from([["--elements", elements],
+                                      ["--congruence", congruence]]))
+    elif verb == "quotient":
+        argv += ["--congruence", congruence]
+    elif verb == "localize":
+        argv += ["--monoid", elements]
+    elif verb == "sections":
+        argv += ["--element", draw(name)]
+    elif verb == "stalk":
+        argv += ["--point", str(draw(st.integers(-1, 8)))]
+    elif verb == "nullcheck":
+        argv += draw(st.sampled_from([[], ["--congruence", congruence]]))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_carrier_argv())
+def test_carrier_verbs_never_raise(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert (code == 0) == bool(out.getvalue()), argv
+    assert len(err.getvalue().splitlines()) == (code != 0), argv

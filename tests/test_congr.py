@@ -8,6 +8,7 @@ import pytest
 
 from supertrop.congr import (
     Congruence,
+    DEFAULT_BOUND,
     _all_congruences,
     _assemble_blocks,
     _validate_cached,
@@ -27,7 +28,6 @@ from supertrop.congr import (
     builtin_semiring,
     check_q_homomorphism,
     classify,
-    clusters,
     cong_closure,
     cong_from_json,
     cong_intersect,
@@ -62,10 +62,13 @@ from supertrop.congr import (
     validate,
 )
 from supertrop.errors import BoundError, ParseError, PreconditionError
+from supertrop.spectra import spec
 
 from congr_oracles import (
     brute_congruences,
+    eager_validate,
     fixpoint_closure,
+    pairwise_localize_finite,
     partition_join,
     pruned_congruences,
 )
@@ -157,6 +160,59 @@ def test_validate_flags_untame_carrier():
     assert "tame" in report.failed_checks()
 
 
+def _perturbed(R: FiniteNuSemiring, rng: random.Random) -> FiniteNuSemiring:
+    """R after one to three random edits of a table entry, a subset
+    membership, zero or one; table edits are often made symmetric so
+    that failures also reach the checks after commutativity."""
+    add_t = [list(row) for row in R.add_table]
+    mul_t = [list(row) for row in R.mul_table]
+    nu_t = list(R.nu_table)
+    tangible, prudent = set(R.tangible), set(R.prudent)
+    zero, one = R.zero, R.one
+    for _ in range(rng.randint(1, 3)):
+        a, b, v = (rng.randrange(R.size) for _ in range(3))
+        kind = rng.choice(["add", "mul", "nu", "tangible", "prudent", "unit"])
+        if kind in ("add", "mul"):
+            table = add_t if kind == "add" else mul_t
+            table[a][b] = v
+            if rng.random() < 0.5:
+                table[b][a] = v
+        elif kind == "nu":
+            nu_t[a] = v
+        elif kind == "tangible":
+            tangible ^= {a}
+        elif kind == "prudent":
+            prudent ^= {a}
+        elif rng.random() < 0.5:
+            zero = v
+        else:
+            one = v
+    return FiniteNuSemiring(
+        R.names, zero, one,
+        tuple(map(tuple, add_t)), tuple(map(tuple, mul_t)), tuple(nu_t),
+        frozenset(tangible), frozenset(prudent),
+    )
+
+
+def test_validate_matches_eager_oracle():
+    rng = random.Random(5)
+    carriers = [R for _, R in bundled_suite()]
+    carriers += [str_chain(n) for n in range(1, 5)]
+    carriers += [str_trunc(n) for n in range(1, 5)]
+    failed_checks = set()
+    invalid = 0
+    for R in carriers:
+        assert validate(R) == eager_validate(R)
+        for _ in range(60):
+            P = _perturbed(R, rng)
+            report = validate(P)
+            assert report == eager_validate(P), (P, report)
+            invalid += not report.passed
+            failed_checks.update(report.failed_checks())
+    assert invalid > 900
+    assert failed_checks == set(validate(B).checked)
+
+
 def test_prudence_on_flat_and_unit_carriers():
     F = flat_idempotent()
     assert names_of(F, F.prudent) == {"1", "t"}
@@ -185,7 +241,8 @@ def test_superboolean_congruence_lattice():
 
 
 def test_clusters_of_the_diagonal():
-    iT, iG = clusters(B, diagonal(B))
+    theta = diagonal(B)
+    iT, iG = theta.iT, theta.iG
     assert names_of(B, iT) == {"b1"}
     assert names_of(B, iG) == {"b0", "b1v"}
 
@@ -506,6 +563,72 @@ def test_localize_canonical_map_is_q_homomorphism():
     C = [F.index("1"), F.index("t")]
     S, tau = localize_finite(F, C)
     assert check_q_homomorphism(QHom(F, S, tau)) is None
+
+
+def _localize_or_message(localize, R, C):
+    try:
+        return localize(R, C)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def test_localize_matches_pairwise_oracle():
+    rng = random.Random(3)
+    bundled = [R for _, R in bundled_suite()]
+    carriers = bundled + [random_semiring(seed) for seed in range(40)]
+    carriers += [str_chain(n) for n in range(1, 6)]
+    carriers += [str_trunc(n) for n in range(1, 6)]
+    for R in bundled:
+        for _ in range(2):
+            perm = list(range(R.size))
+            rng.shuffle(perm)
+            carriers.append(permute_semiring(R, perm))
+    proper = 0
+    for R in carriers:
+        others = sorted(R.prudent - {R.one})
+        monoids = [
+            [R.one, *extra]
+            for k in range(len(others) + 1)
+            for extra in itertools.combinations(others, k)
+        ][:16]
+        S = spec(R, max(R.size, DEFAULT_BOUND))
+        monoids += [sorted(p.iT) for p in S.points]
+        # a set without one, and one with imprudent elements
+        monoids += [others, list(range(R.size))]
+        for C in monoids:
+            got = _localize_or_message(localize_finite, R, C)
+            assert got == _localize_or_message(
+                pairwise_localize_finite, R, C
+            ), (R.names, C)
+            proper += not isinstance(got, str) and len(C) > 1
+    assert proper > 100
+
+
+def test_quotient_and_localize_reject_invalid_carriers():
+    F = flat_idempotent()
+    # only the prudent set is wrong, so the quotient by the diagonal and
+    # the localization at {1} would themselves validate
+    wrong_prudent = FiniteNuSemiring(
+        F.names, F.zero, F.one, F.add_table, F.mul_table, F.nu_table,
+        F.tangible, frozenset({F.one}),
+    )
+    rows = [list(r) for r in B.add_table]
+    rows[1][2] = 0
+    broken_add = FiniteNuSemiring(
+        B.names, B.zero, B.one, tuple(map(tuple, rows)),
+        B.mul_table, B.nu_table, B.tangible, B.prudent,
+    )
+    for R, failed in (
+        (wrong_prudent, "prudent-maximal"),
+        (broken_add, ", ".join(validate(broken_add).failed_checks())),
+    ):
+        message = f"carrier fails validation: {failed}"
+        with pytest.raises(PreconditionError) as exc:
+            quotient(R, diagonal(R))
+        assert str(exc.value) == message
+        with pytest.raises(PreconditionError) as exc:
+            localize_finite(R, [R.one])
+        assert str(exc.value) == message
 
 
 # -- enumeration bound ----------------------------------------------------

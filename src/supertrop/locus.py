@@ -11,9 +11,13 @@ The build keeps points as reduced integer homogeneous triples
 meet of two integer lines, a primitive tie line or a box side
 x = p/q written q*x = p, so side tests and clip intersections are
 integer arithmetic.  Points become Fraction pairs only when cells are
-emitted; the complex is combinatorially exact and the JSON output
-stable.  One scaled-integer evaluator of c + e.w gives every cell its
-attaining sets and label, and answers z_member.
+emitted, and are sorted once; faces and edges are then ordered by the
+ranks of their points.  One scaled-integer evaluator of c + e.w gives
+every cell its attaining sets and label, and answers z_member.
+
+The writers are exact too.  to_json writes the fixed schema directly,
+byte for byte as json.dumps(sort_keys=True, indent=2) would, and
+render_svg computes each pixel coordinate as an integer quotient.
 
 Each cell is keyed by its sign vector against the sorted tie lines and
 the four box sides.  The signs are constant on a cell and tell cells
@@ -22,7 +26,6 @@ apart, so `locate` is one integer side test per line and one lookup.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -275,32 +278,34 @@ def locus2d(polys: Sequence[TropPoly], box: Optional[Box] = None) -> LocusComple
         faces = [piece for pts in faces for piece in _split(pts, line)]
 
     point_of: dict[HPoint, Point] = {}
-    edge_set: set[tuple[HPoint, HPoint]] = set()
     for pts in faces:
         for h in pts:
             if h not in point_of:
                 point_of[h] = (Fraction(h[0], h[2]), Fraction(h[1], h[2]))
+    # one Fraction sort; faces and edges then compare point ranks
+    order = sorted(point_of, key=point_of.__getitem__)
+    rank = {h: i for i, h in enumerate(order)}
+    edge_set: set[tuple[HPoint, HPoint]] = set()
+    for pts in faces:
         for a, b in zip(pts, pts[1:] + pts[:1]):
-            edge_set.add((a, b) if point_of[a] <= point_of[b] else (b, a))
+            edge_set.add((a, b) if rank[a] < rank[b] else (b, a))
 
     # every cell with its homogeneous witness: the centroid of a face,
     # the midpoint of an edge, a vertex itself
     witnesses: list[tuple[str, tuple[Point, ...], HPoint]] = []
-    for polygon, pts in sorted(
-        (tuple(point_of[h] for h in pts), pts) for pts in faces
-    ):
+    for pts in sorted(faces, key=lambda pts: [rank[h] for h in pts]):
         d = lcm(*(D for _, _, D in pts))
         centroid = (
             sum(X * (d // D) for X, _, D in pts),
             sum(Y * (d // D) for _, Y, D in pts),
             d * len(pts),
         )
-        witnesses.append(("face", polygon, centroid))
-    for a, b in sorted(edge_set, key=lambda e: (point_of[e[0]], point_of[e[1]])):
+        witnesses.append(("face", tuple(point_of[h] for h in pts), centroid))
+    for a, b in sorted(edge_set, key=lambda e: (rank[e[0]], rank[e[1]])):
         (Xa, Ya, Da), (Xb, Yb, Db) = a, b
         midpoint = (Xa * Db + Xb * Da, Ya * Db + Yb * Da, 2 * Da * Db)
         witnesses.append(("edge", (point_of[a], point_of[b]), midpoint))
-    for h in sorted(point_of, key=point_of.__getitem__):
+    for h in order:
         witnesses.append(("vertex", (point_of[h],), h))
 
     system = [_scaled(f) for f in polys]
@@ -331,7 +336,9 @@ def locus2d(polys: Sequence[TropPoly], box: Optional[Box] = None) -> LocusComple
 
 
 def locate(L: LocusComplex, x: Fraction, y: Fraction) -> Cell:
-    """Cell of the arrangement containing the point; exact."""
+    """Cell of the arrangement containing the point; exact.  Coordinates
+    may be anything Fraction accepts, as in z_member."""
+    x, y = Fraction(x), Fraction(y)
     (x0, x1), (y0, y1) = L.box
     if not (x0 <= x <= x1 and y0 <= y <= y1):
         raise PreconditionError("point outside the box")
@@ -342,31 +349,58 @@ def locate(L: LocusComplex, x: Fraction, y: Fraction) -> Cell:
 
 
 # -- serialization -----------------------------------------------------
+#
+# Both writers format each distinct point once per call, keyed by the
+# identity of the point tuple: the cells share the tuples of one build,
+# and the complex keeps them alive while the writer runs.
 
 
-def _point_json(p: Point) -> list[str]:
-    return [str(p[0]), str(p[1])]
+def _json_list(items: Sequence[str], indent: str) -> str:
+    """A JSON array of already formatted items, laid out as
+    json.dumps(..., indent=2) lays it out when its closing bracket
+    stands at the given indent."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
 
 
 def to_json(L: LocusComplex) -> str:
-    obj = {
-        "box": [
-            [str(L.box[0][0]), str(L.box[0][1])],
-            [str(L.box[1][0]), str(L.box[1][1])],
-        ],
-        "cells": [
-            {
-                "kind": c.kind,
-                "label": c.label,
-                "polygon": [_point_json(p) for p in c.polygon],
-                "attaining": [
-                    [list(e) for e in per_poly] for per_poly in c.attaining
-                ],
-            }
-            for c in L.cells
-        ],
-    }
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """The box and every cell's kind, label, polygon and attaining sets,
+    byte-identical to json.dumps(obj, sort_keys=True, indent=2) of that
+    object, written directly (indent forces the stdlib's pure-Python
+    encoder)."""
+    points: dict[int, str] = {}
+    exponents: dict[Exponent, str] = {}
+    cells = []
+    for c in L.cells:
+        polygon = []
+        for p in c.polygon:
+            text = points.get(id(p))
+            if text is None:
+                text = points[id(p)] = _json_list((f'"{p[0]}"', f'"{p[1]}"'), " " * 8)
+            polygon.append(text)
+        attaining = []
+        for per_poly in c.attaining:
+            exps = []
+            for e in per_poly:
+                text = exponents.get(e)
+                if text is None:
+                    text = exponents[e] = _json_list([str(k) for k in e], " " * 10)
+                exps.append(text)
+            attaining.append(_json_list(exps, " " * 8))
+        cells.append(
+            '{\n      "attaining": ' + _json_list(attaining, " " * 6)
+            + f',\n      "kind": "{c.kind}",\n      "label": "{c.label}"'
+            + ',\n      "polygon": ' + _json_list(polygon, " " * 6)
+            + "\n    }"
+        )
+    box = [_json_list((f'"{lo}"', f'"{hi}"'), " " * 4) for lo, hi in L.box]
+    return (
+        '{\n  "box": ' + _json_list(box, "  ")
+        + ',\n  "cells": ' + _json_list(cells, "  ")
+        + "\n}"
+    )
 
 
 def render_svg(L: LocusComplex, size: int = 600) -> bytes:
@@ -378,13 +412,35 @@ def render_svg(L: LocusComplex, size: int = 600) -> bytes:
     (x0, x1), (y0, y1) = L.box
     margin = 20
     span = max(x1 - x0, y1 - y0)
-    scale = Fraction(size - 2 * margin) / span
+    # The pixel of v = n/d is margin + (v - x0) * (size - 2*margin) / span
+    # across and margin + (y1 - v) * (size - 2*margin) / span down, that
+    # is (ax*n + bx*d) / (cx*d) and (ay*n + by*d) / (cy*d) in integers.
+    # int / int is the correctly rounded float of the fraction, reduced
+    # or not, so every ":.2f" string is the one Fraction arithmetic gives.
+    w = (size - 2 * margin) * span.denominator
+    s = span.numerator
+    ax = x0.denominator * w
+    bx = margin * s * x0.denominator - x0.numerator * w
+    cx = s * x0.denominator
+    ay = -y1.denominator * w
+    by = margin * s * y1.denominator + y1.numerator * w
+    cy = s * y1.denominator
 
     def sx(v: Fraction) -> str:
-        return f"{float(margin + (v - x0) * scale):.2f}"
+        n, d = v.numerator, v.denominator
+        return f"{(ax * n + bx * d) / (cx * d):.2f}"
 
     def sy(v: Fraction) -> str:
-        return f"{float(margin + (y1 - v) * scale):.2f}"
+        n, d = v.numerator, v.denominator
+        return f"{(ay * n + by * d) / (cy * d):.2f}"
+
+    pixels: dict[int, tuple[str, str]] = {}
+
+    def pixel(p: Point) -> tuple[str, str]:
+        xy = pixels.get(id(p))
+        if xy is None:
+            xy = pixels[id(p)] = (sx(p[0]), sy(p[1]))
+        return xy
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
@@ -394,7 +450,7 @@ def render_svg(L: LocusComplex, size: int = 600) -> bytes:
     for c in L.cells:
         if c.kind != "face":
             continue
-        pts = " ".join(f"{sx(p[0])},{sy(p[1])}" for p in c.polygon)
+        pts = " ".join(",".join(pixel(p)) for p in c.polygon)
         fill = "#b9b9b9" if c.label == GHOST_REGION else "#ffffff"
         parts.append(f'<polygon points="{pts}" fill="{fill}" stroke="none"/>')
 
@@ -433,23 +489,20 @@ def render_svg(L: LocusComplex, size: int = 600) -> bytes:
     for c in L.cells:
         if c.kind != "edge":
             continue
-        (a, b) = c.polygon
+        (ua, va), (ub, vb) = map(pixel, c.polygon)
         if c.label == GHOST_REGION:
             style = 'stroke="#222222" stroke-width="3"'
         else:
             style = 'stroke="#d0d0d0" stroke-width="1"'
-        parts.append(
-            f'<line x1="{sx(a[0])}" y1="{sy(a[1])}" '
-            f'x2="{sx(b[0])}" y2="{sy(b[1])}" {style}/>'
-        )
+        parts.append(f'<line x1="{ua}" y1="{va}" x2="{ub}" y2="{vb}" {style}/>')
     for c in L.cells:
         if c.kind != "vertex":
             continue
-        (p,) = c.polygon
+        px, py = pixel(c.polygon[0])
         if c.label == GHOST_REGION:
             style = 'r="4" fill="#111111"'
         else:
             style = 'r="2.5" fill="#ffffff" stroke="#999999"'
-        parts.append(f'<circle cx="{sx(p[0])}" cy="{sy(p[1])}" {style}/>')
+        parts.append(f'<circle cx="{px}" cy="{py}" {style}/>')
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")

@@ -148,11 +148,18 @@ def p_mul(f: TropPoly, g: TropPoly) -> TropPoly:
 
 
 def p_pow(f: TropPoly, n: int) -> TropPoly:
+    """f^n by repeated squaring: polynomial multiplication over the
+    nu-semiring is associative and commutative, so any bracketing of
+    the n factors gives the same polynomial."""
     if n < 0:
         raise ValueError("negative power")
     out = p_const(f.nvars, one_of(RATIONAL))
-    for _ in range(n):
-        out = p_mul(out, f)
+    while n:
+        if n & 1:
+            out = p_mul(out, f)
+        n >>= 1
+        if n:
+            f = p_mul(f, f)
     return out
 
 

@@ -7,10 +7,15 @@ the faces with Fraction cross products.  It shares no geometry or
 evaluation code with supertrop.locus, only the Cell and LocusComplex
 types, so the library's integer build, its evaluator and its
 sign-vector lookup can be checked against it.
+
+The writers serialize through json.dumps and draw with Fraction
+pixel arithmetic, so the library's direct JSON writer and its integer
+SVG coordinates can be compared with them byte for byte.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
@@ -262,3 +267,117 @@ def locate(L: LocusComplex, x: Fraction, y: Fraction) -> Cell:
         if inside:
             return cell
     raise AssertionError("point not located")
+
+
+# -- serialization -----------------------------------------------------
+
+
+def _point_json(p: Point) -> list[str]:
+    return [str(p[0]), str(p[1])]
+
+
+def to_json(L: LocusComplex) -> str:
+    obj = {
+        "box": [
+            [str(L.box[0][0]), str(L.box[0][1])],
+            [str(L.box[1][0]), str(L.box[1][1])],
+        ],
+        "cells": [
+            {
+                "kind": c.kind,
+                "label": c.label,
+                "polygon": [_point_json(p) for p in c.polygon],
+                "attaining": [
+                    [list(e) for e in per_poly] for per_poly in c.attaining
+                ],
+            }
+            for c in L.cells
+        ],
+    }
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def render_svg(L: LocusComplex, size: int = 600) -> bytes:
+    """Deterministic standalone SVG document.
+
+    Ghost cells are drawn dark over a light background, with a unit
+    (or coarser) coordinate grid and the two axes for orientation.
+    """
+    (x0, x1), (y0, y1) = L.box
+    margin = 20
+    span = max(x1 - x0, y1 - y0)
+    scale = Fraction(size - 2 * margin) / span
+
+    def sx(v: Fraction) -> str:
+        return f"{float(margin + (v - x0) * scale):.2f}"
+
+    def sy(v: Fraction) -> str:
+        return f"{float(margin + (y1 - v) * scale):.2f}"
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="0 0 {size} {size}">',
+        f'<rect x="0" y="0" width="{size}" height="{size}" fill="#ffffff"/>',
+    ]
+    for c in L.cells:
+        if c.kind != "face":
+            continue
+        pts = " ".join(f"{sx(p[0])},{sy(p[1])}" for p in c.polygon)
+        fill = "#b9b9b9" if c.label == GHOST_REGION else "#ffffff"
+        parts.append(f'<polygon points="{pts}" fill="{fill}" stroke="none"/>')
+
+    # coordinate grid at integer multiples of a step coarse enough to
+    # stay readable, then the axes where they cross the box
+    step = (span + 15) // 16 if span > 16 else Fraction(1)
+    k = -(-x0 // step)  # ceil
+    while k * step <= x1:
+        v = k * step
+        parts.append(
+            f'<line x1="{sx(v)}" y1="{sy(y0)}" x2="{sx(v)}" y2="{sy(y1)}" '
+            f'stroke="#e4e4e4" stroke-width="0.5"/>'
+        )
+        k += 1
+    k = -(-y0 // step)
+    while k * step <= y1:
+        v = k * step
+        parts.append(
+            f'<line x1="{sx(x0)}" y1="{sy(v)}" x2="{sx(x1)}" y2="{sy(v)}" '
+            f'stroke="#e4e4e4" stroke-width="0.5"/>'
+        )
+        k += 1
+    if x0 <= 0 <= x1:
+        z = Fraction(0)
+        parts.append(
+            f'<line x1="{sx(z)}" y1="{sy(y0)}" x2="{sx(z)}" y2="{sy(y1)}" '
+            f'stroke="#8899aa" stroke-width="1.5"/>'
+        )
+    if y0 <= 0 <= y1:
+        z = Fraction(0)
+        parts.append(
+            f'<line x1="{sx(x0)}" y1="{sy(z)}" x2="{sx(x1)}" y2="{sy(z)}" '
+            f'stroke="#8899aa" stroke-width="1.5"/>'
+        )
+
+    for c in L.cells:
+        if c.kind != "edge":
+            continue
+        (a, b) = c.polygon
+        if c.label == GHOST_REGION:
+            style = 'stroke="#222222" stroke-width="3"'
+        else:
+            style = 'stroke="#d0d0d0" stroke-width="1"'
+        parts.append(
+            f'<line x1="{sx(a[0])}" y1="{sy(a[1])}" '
+            f'x2="{sx(b[0])}" y2="{sy(b[1])}" {style}/>'
+        )
+    for c in L.cells:
+        if c.kind != "vertex":
+            continue
+        (p,) = c.polygon
+        if c.label == GHOST_REGION:
+            style = 'r="4" fill="#111111"'
+        else:
+            style = 'r="2.5" fill="#ffffff" stroke="#999999"'
+        parts.append(f'<circle cx="{sx(p[0])}" cy="{sy(p[1])}" {style}/>')
+    parts.append("</svg>")
+    return ("\n".join(parts) + "\n").encode("utf-8")

@@ -1,17 +1,21 @@
-"""Slow, independent essentiality oracle shared by the test modules.
+"""Slow, independent polynomial oracles shared by the test modules.
 
-Two Fourier-Motzkin eliminations per term on Fraction rows, one for
-the strict and one for the weak dominance system, each row carrying
-its own strictness flag.  It shares no elimination code with
-supertrop.poly, only the Essentiality labels, so the library's
+Essentiality: two Fourier-Motzkin eliminations per term on Fraction
+rows, one for the strict and one for the weak dominance system, each
+row carrying its own strictness flag.  It shares no elimination code
+with supertrop.poly, only the Essentiality labels, so the library's
 one-pass classification can be checked against it.
+
+Powers: n multiplications in a row, left to right, so the library's
+repeated squaring can be checked against the plain product.
 """
 
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from supertrop.core import RATIONAL, one_of
 from supertrop.errors import PreconditionError
-from supertrop.poly import Essentiality, Exponent, TropPoly
+from supertrop.poly import Essentiality, Exponent, TropPoly, p_const, p_mul
 
 Ineq = tuple[tuple[Fraction, ...], Fraction, bool]  # coeffs . x >= rhs (> if strict)
 
@@ -84,4 +88,13 @@ def essential_exponents(f: TropPoly) -> dict[Exponent, Essentiality]:
             out[exp] = Essentiality.TIE_ONLY
         else:
             out[exp] = Essentiality.UNREACHABLE
+    return out
+
+
+def p_pow(f: TropPoly, n: int) -> TropPoly:
+    if n < 0:
+        raise ValueError("negative power")
+    out = p_const(f.nvars, one_of(RATIONAL))
+    for _ in range(n):
+        out = p_mul(out, f)
     return out

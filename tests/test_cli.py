@@ -185,6 +185,21 @@ ZLOCUS_GOLDENS = [
         "cc2b7851a043f0c9eb3138fe171a838a16e8209b7de971cb6d9f63cb7eb5b1ee",
         "465b1eba80f78eb0f3a6ed147d945193da2cbf9dd20f6f6b2d8adc93743afddd",
     ),
+    (  # span above 16: the grid takes the coarse step
+        ["x + y + 0", "--box=-20,20,-20,20"],
+        "1320a8ec316b3c081d73ef5ee2e18b2d6e0126273399abc5134e294a81f4f7a8",
+        "78abf54e65297e8c9ea0855239c3b1ebe908c80a7b442fd91c862eb79d57bf69",
+    ),
+    (  # the origin lies outside the box: no axes
+        ["x + y + 0", "--box=1,3,2,5"],
+        "c68c5e294ab26f12cadbb2f3dbfd9b697f246efa15b2d6e04fc2d74a96aaa5ea",
+        "e740d6ff6f7be333a47d6ce45cff8a633bf40818df5ab4e08a68586c3068750e",
+    ),
+    (  # a wide, fractional, non-square box
+        ["x^2 + 1/2*x*y + y^2 + 3", "--box=-101/3,57/2,-40,17/7"],
+        "566a41d4fc6858311bbe46f2159ed75daa332d18ecc0fd994aad0b1ceb399940",
+        "610c2a188955dafb008160d5861178359d0d5644085b457a227acbabff23c1af",
+    ),
 ]
 
 
@@ -666,7 +681,8 @@ _box_text = st.one_of(
 
 
 def _small_exponents(text: str) -> bool:
-    # p_pow multiplies step by step, so parsing alone pays for x^99999
+    # p_pow squares, but the power of a sum still grows: (x+0)^2000 has
+    # 2,001 terms and parsing it alone takes seconds
     return not re.search(r"\^\s*\d\d", text)
 
 

@@ -278,7 +278,9 @@ def query_points(L: LocusComplex, n: int):
     return pts
 
 
-def test_locus_matches_fraction_oracle():
+def oracle_systems():
+    """Fixed systems, among them the zero polynomial and a single term,
+    then 40 seeded random ones."""
     rng = random.Random(41)
     fixed = [
         (triangle_system(1), BOX5),
@@ -286,14 +288,41 @@ def test_locus_matches_fraction_oracle():
         ([p_zero(2)], BOX5),
         ([parse_poly("0v*x", nvars=2)], ((F("1/3"), F("1/2")), (F(-1), F(0)))),
     ]
-    systems = fixed + [rand_system(rng) for _ in range(40)]
-    for polys, box in systems:
+    return fixed + [rand_system(rng) for _ in range(40)]
+
+
+def test_locus_matches_fraction_oracle():
+    for polys, box in oracle_systems():
         L = locus2d(polys, box)
         O = oracle.locus2d(polys, box)
         assert L.box == O.box
         assert repr(L.cells) == repr(O.cells), (polys, box)
         for x, y in query_points(L, 8):
             assert locate(L, x, y) == oracle.locate(O, x, y), (polys, box, x, y)
+
+
+def test_writers_match_json_dumps_and_fraction_oracles():
+    rng = random.Random(47)
+    systems = oracle_systems() + [rand_system(rng) for _ in range(80)]
+    for polys, box in systems:
+        L = locus2d(polys, box)
+        assert to_json(L) == oracle.to_json(L), (polys, box)
+        assert render_svg(L) == oracle.render_svg(L), (polys, box)
+    # other sizes change every pixel constant
+    L = locus2d(*systems[1])
+    for size in (1, 173, 1000):
+        assert render_svg(L, size) == oracle.render_svg(L, size)
+
+
+def test_locate_accepts_what_fraction_accepts():
+    L = locus2d(triangle_system(1), BOX5)
+    cell = locate(L, F("1/2"), F(1))
+    assert locate(L, F("1/2"), 1) == cell
+    assert locate(L, 0.5, 1.0) == cell
+    assert locate(L, "1/2", "1") == cell
+    assert z_member(triangle_system(1), ("1/2", 1.0)) == (cell.label == GHOST_REGION)
+    with pytest.raises(PreconditionError):
+        locate(L, "11/2", 0)
 
 
 def test_z_member_matches_p_eval_oracle():

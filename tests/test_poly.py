@@ -45,6 +45,7 @@ from supertrop.poly import (
 from supertrop.locus import z_member
 
 from poly_oracles import essential_exponents as two_pass_essentiality
+from poly_oracles import p_pow as stepwise_pow
 
 RAT_ZERO = zero_of(RATIONAL)
 ONE = one_of(RATIONAL)
@@ -126,6 +127,24 @@ def test_pow_matches_repeated_mul():
     for _ in range(40):
         f = rand_poly(rng, 2, max_deg=3, max_terms=4)
         assert p_pow(f, 3) == p_mul(f, p_mul(f, f))
+
+
+def test_pow_matches_stepwise_oracle():
+    rng = random.Random(17)
+    bases = [p_zero(2), p_const(1, ONE), parse_poly("x + 0v"), parse_poly("1/2v*x + -1/3")]
+    for nvars in (1, 2, 3):
+        for _ in range(15):
+            bases.append(rand_poly(rng, nvars, max_deg=2, max_terms=3))
+    for f in bases:
+        for n in range(13):
+            assert p_pow(f, n) == stepwise_pow(f, n), (f, n)
+
+
+def test_pow_of_large_exponent_is_fast():
+    # squaring needs about 2*log2(n) products instead of n
+    assert parse_poly("0^463863") == p_const(1, ONE)
+    assert parse_poly("1/2v^463863") == p_const(1, rat_g(Fraction(463863, 2)))
+    assert parse_poly("x^463863").terms == (((463863,), ONE),)
 
 
 def test_frobenius_agrees_with_pow():

@@ -212,15 +212,18 @@ def _cmd_radical(args: argparse.Namespace) -> Payload:
     return congr.cong_to_json(result)
 
 
+def _carrier_and_map(
+    R: congr.FiniteNuSemiring, out: congr.FiniteNuSemiring, f: Sequence[int]
+) -> Payload:
+    """A constructed carrier and the map from R onto it, by names."""
+    names = {R.names[i]: out.names[f[i]] for i in range(R.size)}
+    return _dumps({"carrier": congr.carrier_obj(out), "map": names})
+
+
 def _cmd_quotient(args: argparse.Namespace) -> Payload:
     R = _load_semiring(args)
     theta = _load_congruence(R, args.congruence)
-    Q, pi = congr.quotient(R, theta)
-    obj = {
-        "carrier": json.loads(congr.to_json(Q)),
-        "map": {R.names[i]: Q.names[pi[i]] for i in range(R.size)},
-    }
-    return _dumps(obj)
+    return _carrier_and_map(R, *congr.quotient(R, theta))
 
 
 def _cmd_localize(args: argparse.Namespace) -> Payload:
@@ -228,12 +231,7 @@ def _cmd_localize(args: argparse.Namespace) -> Payload:
     C = sorted(set(_element_list(R, args.monoid)))
     if not C:
         raise ParseError("localize needs at least one monoid element")
-    S, tau = congr.localize_finite(R, C)
-    obj = {
-        "carrier": json.loads(congr.to_json(S)),
-        "map": {R.names[i]: S.names[tau[i]] for i in range(R.size)},
-    }
-    return _dumps(obj)
+    return _carrier_and_map(R, *congr.localize_finite(R, C))
 
 
 def _cmd_sections(args: argparse.Namespace) -> Payload:
@@ -475,11 +473,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(payload: Payload, out: Optional[str]) -> None:
     if out is not None:
-        if isinstance(payload, bytes):
-            Path(out).write_bytes(payload)
-        else:
-            text = payload if payload.endswith("\n") else payload + "\n"
-            Path(out).write_text(text, encoding="utf-8")
+        try:
+            if isinstance(payload, bytes):
+                Path(out).write_bytes(payload)
+            else:
+                text = payload if payload.endswith("\n") else payload + "\n"
+                Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ParseError(f"cannot write output file {out!r}: {exc}") from None
         return
     if isinstance(payload, bytes):
         sys.stdout.buffer.write(payload)
@@ -495,7 +496,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        payload = args.func(args)
+        _emit(args.func(args), args.out)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -505,7 +506,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BoundError as exc:
         print(f"enumeration bound exceeded: {exc}", file=sys.stderr)
         return 4
-    _emit(payload, args.out)
     return 0
 
 

@@ -22,7 +22,6 @@ exact and is still gated by a size bound.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -403,17 +402,11 @@ class Congruence:
     def iT(self) -> frozenset[int]:
         """Tangible cluster: elements whose whole class is tangible."""
         R = self.semiring
-        good_reps = {
-            r
-            for r in set(self.reps)
-            if all(
-                i in R.tangible
-                for i in range(R.size)
-                if self.reps[i] == r
-            )
+        not_all_tangible = {
+            r for a, r in enumerate(self.reps) if a not in R.tangible
         }
         return frozenset(
-            a for a in range(R.size) if self.reps[a] in good_reps
+            a for a, r in enumerate(self.reps) if r not in not_all_tangible
         )
 
     @cached_property
@@ -592,29 +585,40 @@ def _basic_flags(R: FiniteNuSemiring, theta: Congruence) -> set[str]:
     ):
         flags.add(FLAG_RADICAL)
     if all(
-        set(theta.class_of(r)) <= R.tangible
-        or set(theta.class_of(r)) <= R.ghost0
-        for r in set(theta.reps)
+        set(members) <= R.tangible or set(members) <= R.ghost0
+        for members in theta.classes()
     ):
         flags.add(FLAG_DETERMINED)
     return flags
 
 
+def _relative_flags(
+    theta: Congruence, l_congs: Sequence[Congruence]
+) -> set[str]:
+    """TanglyMinimal and MaximalL of an l-congruence: no member of the
+    l-congruence family has a strictly smaller tangible cluster, and
+    none lies strictly above theta."""
+    flags: set[str] = set()
+    if not any(c.iT < theta.iT for c in l_congs):
+        flags.add(FLAG_TANGLY_MINIMAL)
+    if not any(theta.refines(c) and c.reps != theta.reps for c in l_congs):
+        flags.add(FLAG_MAXIMAL_L)
+    return flags
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def _flag_family(R: FiniteNuSemiring) -> dict[str, tuple[Congruence, ...]]:
-    """The lattice filtered by each basic flag, computed once per carrier."""
+    """The lattice filtered by each flag, computed once per carrier."""
+    lattice = _all_congruences(R)
+    flag_sets = [_basic_flags(R, c) for c in lattice]
+    l_congs = [c for c, flags in zip(lattice, flag_sets) if FLAG_L in flags]
     family: dict[str, list[Congruence]] = {}
-    for c in _all_congruences(R):
-        for flag in _basic_flags(R, c):
+    for c, flags in zip(lattice, flag_sets):
+        if FLAG_L in flags:
+            flags |= _relative_flags(c, l_congs)
+        for flag in flags:
             family.setdefault(flag, []).append(c)
     return {flag: tuple(cs) for flag, cs in family.items()}
-
-
-def _is_maximal_in(theta: Congruence, family: Sequence[Congruence]) -> bool:
-    """Whether no member of family lies strictly above theta."""
-    return not any(
-        theta.refines(c) and c.reps != theta.reps for c in family
-    )
 
 
 def classify(
@@ -630,11 +634,7 @@ def classify(
     """
     flags = _basic_flags(R, theta)
     if FLAG_L in flags and R.size <= bound:
-        l_congs = _flag_family(R).get(FLAG_L, ())
-        if not any(c.iT < theta.iT for c in l_congs):
-            flags.add(FLAG_TANGLY_MINIMAL)
-        if _is_maximal_in(theta, l_congs):
-            flags.add(FLAG_MAXIMAL_L)
+        flags |= _relative_flags(theta, _flag_family(R).get(FLAG_L, ()))
     return frozenset(flags)
 
 
@@ -650,11 +650,6 @@ def enumerate_congruences(
         )
     if kind is None:
         return _all_congruences(R)
-    if kind in (FLAG_TANGLY_MINIMAL, FLAG_MAXIMAL_L):
-        return tuple(
-            c for c in _flag_family(R).get(FLAG_L, ())
-            if kind in classify(R, c, bound)
-        )
     return _flag_family(R).get(kind, ())
 
 
@@ -705,15 +700,14 @@ def quotient(
     tangible = frozenset(
         k for k, members in enumerate(classes) if set(members) <= R.tangible
     )
-    out = FiniteNuSemiring(
-        tuple("|".join(R.names[i] for i in members) for members in classes),
+    out = make_semiring(
+        ["|".join(R.names[i] for i in members) for members in classes],
         proj[R.zero],
         proj[R.one],
         add_t,
         mul_t,
         nu_t,
         tangible,
-        computed_prudent(len(classes), mul_t, tangible),
     )
     _require_passed(validate(out), "quotient")
     return out, proj
@@ -790,15 +784,14 @@ def localize_finite(
         for k, members in enumerate(classes)
         if all(a in R.tangible for a, _ in members)
     )
-    out = FiniteNuSemiring(
-        tuple(name_of(members) for members in classes),
+    out = make_semiring(
+        [name_of(members) for members in classes],
         cls[(R.zero, R.one)],
         cls[(R.one, R.one)],
         add_t,
         mul_t,
         nu_t,
         tangible,
-        computed_prudent(len(classes), mul_t, tangible),
     )
     _require_passed(validate(out), "localization")
     return out, tuple(cls[(a, R.one)] for a in range(R.size))
@@ -830,18 +823,22 @@ def nu_primes(
     return enumerate_congruences(R, bound, FLAG_PRIME)
 
 
+def _meet_above(theta: Congruence, family: Iterable[Congruence]):
+    """Intersection of the members of family containing theta;
+    EMPTY_RADICAL if none does."""
+    containing = [c for c in family if theta.refines(c)]
+    if not containing:
+        return EMPTY_RADICAL
+    return cong_intersect(*containing)
+
+
 def crad(
     R: FiniteNuSemiring,
     theta: Congruence,
     bound: int = DEFAULT_BOUND,
 ):
     """Intersection of the nu-primes containing theta; EMPTY_RADICAL if none."""
-    containing = [
-        p for p in nu_primes(R, bound) if theta.refines(p)
-    ]
-    if not containing:
-        return EMPTY_RADICAL
-    return cong_intersect(*containing)
+    return _meet_above(theta, nu_primes(R, bound))
 
 
 def srad(
@@ -863,8 +860,7 @@ def gprad(R: FiniteNuSemiring) -> frozenset[int]:
 def maximal_l_congruences(
     R: FiniteNuSemiring, bound: int = DEFAULT_BOUND
 ) -> tuple[Congruence, ...]:
-    l_congs = enumerate_congruences(R, bound, FLAG_L)
-    return tuple(m for m in l_congs if _is_maximal_in(m, l_congs))
+    return enumerate_congruences(R, bound, FLAG_MAXIMAL_L)
 
 
 def jac(
@@ -873,12 +869,7 @@ def jac(
     bound: int = DEFAULT_BOUND,
 ):
     """Intersection of the maximal l-congruences containing theta."""
-    containing = [
-        m for m in maximal_l_congruences(R, bound) if theta.refines(m)
-    ]
-    if not containing:
-        return EMPTY_RADICAL
-    return cong_intersect(*containing)
+    return _meet_above(theta, maximal_l_congruences(R, bound))
 
 
 # -- homomorphisms ------------------------------------------------------
@@ -935,54 +926,74 @@ def find_isomorphism(
 ) -> Optional[tuple[int, ...]]:
     """A structure-preserving bijection as a tuple, or None.
 
-    Brute force over permutations, pruned by matching each element
-    profile (tangible, prudent, ghost, zero, one) across the two
-    carriers.
+    A depth-first search that propagates each choice (after McKay,
+    "Practical graph isomorphism", 1981).  An element may only go to one
+    with the same invariants: the profile (zero, one, tangible, prudent,
+    ghost, number of powers) and the down-set size #{c : a + c = a},
+    which every isomorphism keeps.  f(a) = b forces f(nu a) = nu b,
+    f(a + c) = b + f(c) and f(a * c) = b * f(c) for each mapped c; a
+    clash, a repeated image or a changed invariant prunes the branch.
+    Pruned branches hold no isomorphism, and elements are placed by
+    profile and then index, candidates in index order, so the first
+    complete map is the one the former scan over permutations within
+    profile groups returned first.
     """
     if A.size != B.size:
         return None
+    n = A.size
 
-    def profile(R: FiniteNuSemiring, a: int) -> tuple:
-        return (
-            a == R.zero,
-            a == R.one,
-            a in R.tangible,
-            a in R.prudent,
-            a in R.ghost0,
-            len(R.powers_of(a)),
-        )
+    def invariants(R: FiniteNuSemiring) -> list[tuple]:
+        return [
+            (a == R.zero, a == R.one, a in R.tangible, a in R.prudent,
+             a in R.ghost0, len(R.powers_of(a)), R.add_table[a].count(a))
+            for a in range(n)
+        ]
 
-    groups_a: dict[tuple, list[int]] = {}
-    groups_b: dict[tuple, list[int]] = {}
-    for a in range(A.size):
-        groups_a.setdefault(profile(A, a), []).append(a)
-    for b in range(B.size):
-        groups_b.setdefault(profile(B, b), []).append(b)
-    if set(groups_a) != set(groups_b):
+    inv_a, inv_b = invariants(A), invariants(B)
+    if sorted(inv_a) != sorted(inv_b):
         return None
-    if any(len(groups_a[k]) != len(groups_b[k]) for k in groups_a):
+    order = sorted(range(n), key=lambda a: inv_a[a][:-1])  # profile, index
+
+    def extend(f: list[int], a: int, b: int) -> Optional[list[int]]:
+        """f with f(a) = b and everything it forces; None on a clash."""
+        f = f[:]
+        mapped = [c for c in range(n) if f[c] >= 0]
+        work = [(a, b)]
+        while work:
+            a, b = work.pop()
+            if f[a] < 0 and b not in f and inv_a[a] == inv_b[b]:
+                f[a] = b
+                mapped.append(a)
+                work.append((A.nu(a), B.nu(b)))
+                for c in mapped:
+                    work.append((A.add(a, c), B.add(b, f[c])))
+                    work.append((A.mul(a, c), B.mul(b, f[c])))
+            elif f[a] != b:
+                return None
+        return f
+
+    def search(f: list[int], k: int) -> Optional[tuple[int, ...]]:
+        while k < n and f[order[k]] >= 0:
+            k += 1
+        if k == n:
+            ok = check_q_homomorphism(QHom(A, B, tuple(f))) is None
+            return tuple(f) if ok else None
+        for b in range(n):
+            g = extend(f, order[k], b)
+            found = None if g is None else search(g, k + 1)
+            if found is not None:
+                return found
         return None
 
-    keys = sorted(groups_a)
-    pools = [
-        itertools.permutations(groups_b[k]) for k in keys
-    ]
-    for choice in itertools.product(*pools):
-        f = [0] * A.size
-        for k, perm in zip(keys, choice):
-            for src, dst in zip(groups_a[k], perm):
-                f[src] = dst
-        mapping = tuple(f)
-        if check_q_homomorphism(QHom(A, B, mapping)) is None:
-            return mapping
-    return None
+    return search([-1] * n, 0)
 
 
 # -- JSON ---------------------------------------------------------------
 
 
-def to_json(R: FiniteNuSemiring) -> str:
-    obj = {
+def carrier_obj(R: FiniteNuSemiring) -> dict:
+    """The carrier as the JSON object that to_json writes."""
+    return {
         "elements": list(R.names),
         "zero": R.names[R.zero],
         "one": R.names[R.one],
@@ -996,7 +1007,10 @@ def to_json(R: FiniteNuSemiring) -> str:
         ],
         "nu": {R.names[a]: R.names[R.nu(a)] for a in range(R.size)},
     }
-    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def to_json(R: FiniteNuSemiring) -> str:
+    return json.dumps(carrier_obj(R), sort_keys=True, indent=2)
 
 
 def semiring_from_json(text: str) -> FiniteNuSemiring:
@@ -1144,7 +1158,7 @@ def _assemble_blocks(
     ghost (a collision), anything else ghosts at the joined level.
     """
     names = ["0"]
-    level: dict[str, int] = {}
+    level = {"0": -1}  # zero sits below every level
     tangibles: set[str] = set()
     for k, fiber in enumerate(level_tangibles):
         for t in fiber:
@@ -1154,9 +1168,10 @@ def _assemble_blocks(
         names.append(ghost_names[k])
         level[ghost_names[k]] = k
     pos = {name: i for i, name in enumerate(names)}
-    n = len(names)
 
     def mul_name(x: str, y: str) -> str:
+        if x == "0" or y == "0":
+            return "0"
         lev = max(level[x], level[y])
         if x in tangibles and y in tangibles:
             out = tan_mul.get((x, y)) or tan_mul[(y, x)]
@@ -1164,24 +1179,15 @@ def _assemble_blocks(
             return out
         return ghost_names[lev]
 
-    def add_name(x: str, y: str) -> str:
-        if level[x] > level[y]:
-            return x
-        if level[y] > level[x]:
-            return y
-        return ghost_names[level[x]]
+    def nu_name(x: str) -> str:
+        return x if x == "0" else ghost_names[level[x]]
 
-    add_t = [[0] * n for _ in range(n)]
-    mul_t = [[0] * n for _ in range(n)]
-    for i, x in enumerate(names):
-        for j, y in enumerate(names):
-            if i == 0 or j == 0:
-                add_t[i][j] = i if j == 0 else j
-                mul_t[i][j] = 0
-            else:
-                add_t[i][j] = pos[add_name(x, y)]
-                mul_t[i][j] = pos[mul_name(x, y)]
-    nu_t = [0] + [pos[ghost_names[level[x]]] for x in names[1:]]
+    def add_name(x: str, y: str) -> str:
+        if level[x] != level[y]:
+            return x if level[x] > level[y] else y
+        return nu_name(x)
+
+    add_t, mul_t, nu_t = _op_tables(names, pos, add_name, mul_name, nu_name)
     return make_semiring(
         names, 0, pos["1"], add_t, mul_t, nu_t, frozenset(pos[t] for t in tangibles)
     )

@@ -85,14 +85,6 @@ class ValueMonoid:
             return self.table[v][w]
         return 0
 
-    def op_power(self, v, n: int):
-        if self.kind == "rational":
-            return v * n
-        acc = self.identity
-        for _ in range(n):
-            acc = self.op(acc, v)
-        return acc
-
     def invertible(self, v) -> bool:
         if self.kind == "rational":
             return True

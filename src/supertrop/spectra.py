@@ -32,6 +32,7 @@ from .congr import (
     FLAG_PRIME,
     FiniteNuSemiring,
     _basic_flags,
+    all_pairs,
     class_names,
     classify,
     cong_intersect,
@@ -127,10 +128,11 @@ def v_set(
 
 def d_set(S: Spectrum, f: int) -> ZSet:
     """Basic open set: the primes where f stays non-ghost."""
-    members = frozenset(
-        i for i, p in enumerate(S.points) if f not in p.iG
-    )
-    return ZSet(S, KIND_D_ELEMENT, members, source=f)
+    return ZSet(S, KIND_D_ELEMENT, _d_members(S.points, f), source=f)
+
+
+def _d_members(points: Sequence[Congruence], f: int) -> frozenset[int]:
+    return frozenset(i for i, p in enumerate(points) if f not in p.iG)
 
 
 def d_restricted(S: Spectrum, C: Iterable[int], f: int) -> ZSet:
@@ -164,8 +166,7 @@ def i_of(S: Spectrum, Y: Union[ZSet, Iterable[int]]) -> Congruence:
     """
     members = _member_indices(S, Y)
     if not members:
-        n = S.carrier.size
-        return Congruence(S.carrier, (0,) * n)
+        return all_pairs(S.carrier)
     return cong_intersect(*(S.points[i] for i in sorted(members)))
 
 
@@ -269,10 +270,6 @@ def height(
 
 
 # -- sections and stalks ------------------------------------------------
-
-
-def _d_members(points: Sequence[Congruence], f: int) -> frozenset[int]:
-    return frozenset(i for i, p in enumerate(points) if f not in p.iG)
 
 
 def _mult_closure(R: FiniteNuSemiring, gens: Iterable[int]) -> frozenset[int]:

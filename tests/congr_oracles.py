@@ -4,20 +4,25 @@ The congruence oracles read only a carrier's tables and share no code
 with supertrop.congr, so the library's lattice and closure can be
 checked against them.  All return least-representative tuples (reps).
 
-The last two are the library's former validate, which formatted a
-witness for every case it checked, and its former localize_finite,
-which found the fraction classes by a pairwise union-find over all
-fraction pairs.  They are kept verbatim as differential references.
+The last three are the library's former validate, which formatted a
+witness for every case it checked, its former localize_finite, which
+found the fraction classes by a pairwise union-find over all fraction
+pairs, and its former find_isomorphism, which scanned the permutations
+within groups of same-profile elements.  They are kept verbatim as
+differential references.
 """
 
+import itertools
 from typing import Iterable, Optional
 
 from supertrop.congr import (
     FiniteNuSemiring,
+    QHom,
     ValidationReport,
     _canonical_reps,
     _find,
     _union,
+    check_q_homomorphism,
     computed_prudent,
     validate,
 )
@@ -395,3 +400,51 @@ def pairwise_localize_finite(
         )
     tau = tuple(cls(a, R.one) for a in range(R.size))
     return out, tau
+
+
+def scan_isomorphism(
+    A: FiniteNuSemiring, B: FiniteNuSemiring
+) -> Optional[tuple[int, ...]]:
+    """A structure-preserving bijection as a tuple, or None.
+
+    Brute force over permutations, pruned by matching each element
+    profile (tangible, prudent, ghost, zero, one) across the two
+    carriers.
+    """
+    if A.size != B.size:
+        return None
+
+    def profile(R: FiniteNuSemiring, a: int) -> tuple:
+        return (
+            a == R.zero,
+            a == R.one,
+            a in R.tangible,
+            a in R.prudent,
+            a in R.ghost0,
+            len(R.powers_of(a)),
+        )
+
+    groups_a: dict[tuple, list[int]] = {}
+    groups_b: dict[tuple, list[int]] = {}
+    for a in range(A.size):
+        groups_a.setdefault(profile(A, a), []).append(a)
+    for b in range(B.size):
+        groups_b.setdefault(profile(B, b), []).append(b)
+    if set(groups_a) != set(groups_b):
+        return None
+    if any(len(groups_a[k]) != len(groups_b[k]) for k in groups_a):
+        return None
+
+    keys = sorted(groups_a)
+    pools = [
+        itertools.permutations(groups_b[k]) for k in keys
+    ]
+    for choice in itertools.product(*pools):
+        f = [0] * A.size
+        for k, perm in zip(keys, choice):
+            for src, dst in zip(groups_a[k], perm):
+                f[src] = dst
+        mapping = tuple(f)
+        if check_q_homomorphism(QHom(A, B, mapping)) is None:
+            return mapping
+    return None

@@ -491,6 +491,20 @@ def test_out_redirects_stdout(capsys, tmp_path):
     assert target.read_text(encoding="utf-8") == "x^2 + 1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("canon", "x+0"), ("zlocus", "x + y + 0", "--format", "svg")],
+    ids=["text", "svg-bytes"],
+)
+@pytest.mark.parametrize("where", ["missing-parent", "directory"])
+def test_unwritable_out_exits_2(capsys, tmp_path, argv, where):
+    target = tmp_path / "nosuch" / "f.txt" if where == "missing-parent" else tmp_path
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: cannot write output file {str(target)!r}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # -- exit codes --------------------------------------------------------
 
 

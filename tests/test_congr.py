@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from supertrop.congr import (
     DEFAULT_BOUND,
     _all_congruences,
     _assemble_blocks,
+    _flag_family,
     _validate_cached,
     EMPTY_RADICAL,
     FLAG_DETERMINED,
@@ -71,10 +73,53 @@ from congr_oracles import (
     pairwise_localize_finite,
     partition_join,
     pruned_congruences,
+    scan_isomorphism,
 )
 
 B = superboolean()
 CHAIN2 = str_chain(2)
+FLAG_KINDS = (
+    FLAG_Q, FLAG_L, FLAG_PRIME, FLAG_RADICAL, FLAG_DETERMINED, FLAG_GHOST,
+    FLAG_TANGLY_MINIMAL, FLAG_MAXIMAL_L,
+)
+
+
+def orthogonal_idempotents(k: int) -> FiniteNuSemiring:
+    """1 and k idempotents whose pairwise products ghost: every
+    permutation of the idempotents is an automorphism."""
+    idem = [f"e{i}" for i in range(k)]
+    tan_mul = {("1", x): x for x in ["1", *idem]}
+    for i, x in enumerate(idem):
+        for y in idem[i:]:
+            tan_mul[(x, y)] = x if x == y else "1v"
+    return _assemble_blocks([("1", *idem)], ("1v",), tan_mul)
+
+
+def crossed_pairs() -> FiniteNuSemiring:
+    """Idempotents s, t over tangibles a, b with s*a = a, t*b = b and the
+    crossed products ghost: the one non-trivial automorphism swaps s with
+    t and a with b together, so a search must backtrack to find it."""
+    tan_mul = {("1", x): x for x in ("1", "s", "t", "a", "b")}
+    tan_mul.update({
+        ("s", "s"): "s", ("t", "t"): "t", ("s", "t"): "1v",
+        ("s", "a"): "a", ("s", "b"): "av", ("t", "a"): "av", ("t", "b"): "b",
+        ("a", "a"): "av", ("a", "b"): "av", ("b", "b"): "av",
+    })
+    return _assemble_blocks([("1", "s", "t"), ("a", "b")], ("1v", "av"), tan_mul)
+
+
+def small_carriers() -> list[tuple[str, FiniteNuSemiring]]:
+    """The bundled carriers, the chains of length 1-5, random:0..39 and
+    three carriers with non-trivial automorphisms."""
+    out = list(bundled_suite())
+    for n in range(1, 6):
+        out += [(f"str-chain:{n}", str_chain(n)), (f"str-trunc:{n}", str_trunc(n))]
+    out += [(f"random:{s}", random_semiring(s)) for s in range(40)]
+    return out + [
+        ("orthogonal:2", orthogonal_idempotents(2)),
+        ("orthogonal:3", orthogonal_idempotents(3)),
+        ("crossed-pairs", crossed_pairs()),
+    ]
 
 
 def names_of(R: FiniteNuSemiring, indices) -> set:
@@ -355,8 +400,32 @@ def test_lattice_caches_are_bounded():
         )
         require_valid(copy)
         enumerate_congruences(copy)
-    for cache in (_all_congruences, _validate_cached):
+    for cache in (_all_congruences, _flag_family, _validate_cached):
         assert cache.cache_info().currsize < 40
+
+
+def test_flag_family_matches_classify():
+    bound = 11
+    for name, R in small_carriers():
+        if R.size > bound:
+            continue
+        lattice = enumerate_congruences(R, bound)
+        flags = [classify(R, c, bound) for c in lattice]
+        assert enumerate_congruences(R, bound, None) == lattice, name
+        for kind in FLAG_KINDS:
+            expected = tuple(c for c, fl in zip(lattice, flags) if kind in fl)
+            assert enumerate_congruences(R, bound, kind) == expected, (name, kind)
+        # the two relative flags, straight from their definitions
+        l_congs = enumerate_congruences(R, bound, FLAG_L)
+        minimal = tuple(
+            c for c in l_congs if not any(d.iT < c.iT for d in l_congs)
+        )
+        maximal = tuple(
+            c for c in l_congs
+            if not any(c.refines(d) and c != d for d in l_congs)
+        )
+        assert enumerate_congruences(R, bound, FLAG_TANGLY_MINIMAL) == minimal
+        assert enumerate_congruences(R, bound, FLAG_MAXIMAL_L) == maximal
 
 
 def test_congruence_intersection_preserves_kinds():
@@ -731,6 +800,37 @@ def test_find_isomorphism_positive_and_negative():
         iso = find_isomorphism(R, P)
         assert iso is not None and sorted(iso) == list(range(R.size)), name
         assert check_q_homomorphism(QHom(R, P, iso)) is None, name
+
+
+def test_find_isomorphism_matches_scan_oracle():
+    rng = random.Random(29)
+    for name, R in small_carriers():
+        assert validate(R).passed, name
+        assert find_isomorphism(R, R) == scan_isomorphism(R, R), name
+        for _ in range(3):
+            perm = list(range(R.size))
+            rng.shuffle(perm)
+            P = permute_semiring(R, perm)
+            for X, Y in ((R, P), (P, R)):
+                iso = find_isomorphism(X, Y)
+                assert iso is not None, name
+                assert iso == scan_isomorphism(X, Y), name
+    bundled = bundled_suite()
+    for (na, X), (nb, Y) in itertools.product(bundled, bundled):
+        assert find_isomorphism(X, Y) == scan_isomorphism(X, Y), (na, nb)
+
+
+def test_find_isomorphism_on_long_chains_is_fast():
+    rng = random.Random(31)
+    for R in (str_chain(32), str_trunc(32)):
+        perm = list(range(R.size))
+        rng.shuffle(perm)
+        P = permute_semiring(R, perm)
+        start = time.perf_counter()
+        iso = find_isomorphism(R, P)
+        assert time.perf_counter() - start < 1.0
+        assert iso is not None and sorted(iso) == list(range(R.size))
+        assert check_q_homomorphism(QHom(R, P, iso)) is None
 
 
 def test_permuted_copies_are_isomorphic():

@@ -32,48 +32,35 @@ from .errors import BoundError, ParseError, PreconditionError
 Payload = Union[str, bytes]
 
 
+def _json_text(text: str, what: str) -> str:
+    """An inline JSON literal as it is, or else the text of the file it names."""
+    if text.lstrip().startswith("{"):
+        return text
+    try:
+        return Path(text).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot read {what} file {text!r}: {exc}") from None
+
+
 def _load_semiring(args: argparse.Namespace) -> congr.FiniteNuSemiring:
     """Carrier from --seed, an inline JSON literal, a file, or a builtin name."""
     if getattr(args, "seed", None) is not None:
         return congr.random_semiring(args.seed)
     text = args.semiring
-    if text.lstrip().startswith("{"):
-        return congr.semiring_from_json(text)
     path = Path(text)
-    if path.suffix == ".json" or path.exists():
-        try:
-            data = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ParseError(f"cannot read carrier file {text!r}: {exc}") from None
-        return congr.semiring_from_json(data)
+    if text.lstrip().startswith("{") or path.suffix == ".json" or path.exists():
+        return congr.semiring_from_json(_json_text(text, "carrier"))
     return congr.builtin_semiring(text)
 
 
 def _load_congruence(
     R: congr.FiniteNuSemiring, text: str
 ) -> congr.Congruence:
-    if text.lstrip().startswith("{"):
-        return congr.cong_from_json(R, text)
-    try:
-        data = Path(text).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read congruence file {text!r}: {exc}") from None
-    return congr.cong_from_json(R, data)
-
-
-def _element_index(R: congr.FiniteNuSemiring, name: str) -> int:
-    try:
-        return R.names.index(name)
-    except ValueError:
-        listing = ", ".join(R.names)
-        raise ParseError(
-            f"no element named {name!r}; carrier has {listing}"
-        ) from None
+    return congr.cong_from_json(R, _json_text(text, "congruence"))
 
 
 def _element_list(R: congr.FiniteNuSemiring, text: str) -> list[int]:
-    names = [s.strip() for s in text.split(",") if s.strip()]
-    return [_element_index(R, name) for name in names]
+    return [R.index(s.strip()) for s in text.split(",") if s.strip()]
 
 
 def _parse_box(text: str) -> locus.Box:
@@ -237,7 +224,7 @@ def _cmd_localize(args: argparse.Namespace) -> Payload:
 def _cmd_sections(args: argparse.Namespace) -> Payload:
     R = _load_semiring(args)
     S = spectra.spec(R, args.bound)
-    f = _element_index(R, args.element)
+    f = R.index(args.element)
     return congr.to_json(spectra.sections(S, f))
 
 

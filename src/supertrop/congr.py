@@ -153,7 +153,9 @@ class FiniteNuSemiring:
         try:
             return self.names.index(name)
         except ValueError:
-            raise ParseError(f"unknown element {name!r}") from None
+            raise ParseError(
+                f"no element named {name!r}; carrier has {', '.join(self.names)}"
+            ) from None
 
 
 def computed_prudent(
@@ -184,31 +186,19 @@ def make_semiring(
     one: int,
     add_table: Sequence[Sequence[int]],
     mul_table: Sequence[Sequence[int]],
-    nu_table: Optional[Sequence[int]] = None,
-    tangible: Optional[Iterable[int]] = None,
-    prudent: Optional[Iterable[int]] = None,
+    nu_table: Sequence[int],
+    tangible: Iterable[int],
 ) -> FiniteNuSemiring:
-    """Assemble a carrier, deriving the optional structure.
+    """Assemble a carrier from its tables and tangible set.
 
-    nu defaults to multiplication by e = 1 + 1, tangible to the
-    non-fixed points of nu except zero, and prudent to the maximal
-    admissible set (all powers tangible).
+    The prudent set is always derived: it is the maximal admissible
+    set, the tangible elements all of whose powers stay tangible.
     """
-    add_t = tuple(tuple(row) for row in add_table)
     mul_t = tuple(tuple(row) for row in mul_table)
-    if nu_table is None:
-        e = add_t[one][one]
-        nu_table = tuple(mul_t[e][a] for a in range(len(names)))
-    nu_t = tuple(nu_table)
-    if tangible is None:
-        tangible = frozenset(
-            a for a in range(len(names)) if a != zero and nu_t[a] != a
-        )
     tan = frozenset(tangible)
-    if prudent is None:
-        prudent = computed_prudent(len(names), mul_t, tan)
     return FiniteNuSemiring(
-        tuple(names), zero, one, add_t, mul_t, nu_t, tan, frozenset(prudent)
+        tuple(names), zero, one, tuple(tuple(row) for row in add_table),
+        mul_t, tuple(nu_table), tan, computed_prudent(len(names), mul_t, tan),
     )
 
 
@@ -643,11 +633,14 @@ def enumerate_congruences(
     bound: int = DEFAULT_BOUND,
     kind: Optional[str] = None,
 ) -> tuple[Congruence, ...]:
-    """All congruences, optionally filtered by a classifier flag."""
+    """All congruences, optionally filtered by a classifier flag.  The
+    size bound is checked before validity, which cong_closure needs: it
+    translates pairs on the right only."""
     if R.size > bound:
         raise BoundError(
             f"carrier has {R.size} elements, enumeration bound is {bound}"
         )
+    require_valid(R)
     if kind is None:
         return _all_congruences(R)
     return _flag_family(R).get(kind, ())
@@ -1013,11 +1006,15 @@ def to_json(R: FiniteNuSemiring) -> str:
     return json.dumps(carrier_obj(R), sort_keys=True, indent=2)
 
 
-def semiring_from_json(text: str) -> FiniteNuSemiring:
+def _loads(text: str):
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}") from None
+
+
+def semiring_from_json(text: str) -> FiniteNuSemiring:
+    obj = _loads(text)
     try:
         names = tuple(str(x) for x in obj["elements"])
         pos = {name: i for i, name in enumerate(names)}
@@ -1066,10 +1063,7 @@ def cong_to_json(theta: Congruence) -> str:
 
 
 def cong_from_json(R: FiniteNuSemiring, text: str) -> Congruence:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc}") from None
+    obj = _loads(text)
     try:
         classes = obj["classes"]
         seen: dict[int, int] = {}

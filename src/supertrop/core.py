@@ -86,11 +86,9 @@ class ValueMonoid:
         return 0
 
     def invertible(self, v) -> bool:
-        if self.kind == "rational":
-            return True
-        if self.kind == "trivial":
-            return True
-        return any(self.table[v][w] == 0 for w in range(self.size))
+        return self.kind != "chain" or any(
+            self.table[v][w] == 0 for w in range(self.size)
+        )
 
     def strict_at(self, v, w) -> bool:
         """Whether the operation is strictly monotone at the pair (v, w) in

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import ceil, floor, gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -99,30 +99,32 @@ def default_box(polys: Sequence[TropPoly]) -> Box:
     return ((-2 * m, 2 * m), (-2 * m, 2 * m))
 
 
-def _tie_lines(polys: Sequence[TropPoly]) -> list[Line]:
+def _tie_lines(system: Sequence[Scaled]) -> list[Line]:
+    """The sorted tie lines of a system of scaled polynomials.  Two terms
+    c1 + w1.x and c2 + w2.x tie on (w1 - w2).x = c2 - c1, divided by its
+    gcd and signed so that A > 0, or A = 0 and B > 0.  Such a line is
+    unique, so it does not depend on how each polynomial was scaled."""
     lines: set[Line] = set()
-    for f in polys:
-        terms = list(f.terms)
-        for i in range(len(terms)):
-            for j in range(i + 1, len(terms)):
-                (e1, c1), (e2, c2) = terms[i], terms[j]
-                a = e1[0] - e2[0]
-                b = e1[1] - e2[1]
-                c = c2.value - c1.value
-                den = c.denominator
-                ai, bi, ci = a * den, b * den, c.numerator
-                g = gcd(gcd(abs(ai), abs(bi)), abs(ci))
-                if g:
-                    ai, bi, ci = ai // g, bi // g, ci // g
-                if ai < 0 or (ai == 0 and bi < 0):
-                    ai, bi, ci = -ai, -bi, -ci
-                lines.add((ai, bi, ci))
+    for f in system:
+        for i, (c1, w1, _, _) in enumerate(f):
+            for c2, w2, _, _ in f[i + 1:]:
+                a, b, c = w1[0] - w2[0], w1[1] - w2[1], c2 - c1
+                g = gcd(a, b, c)
+                if a < 0 or (a == 0 and b < 0):
+                    g = -g
+                lines.add((a // g, b // g, c // g))
     return sorted(lines)
 
 
+def _common(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The numerators of xs over their least common denominator d, and d."""
+    d = lcm(*[x.denominator for x in xs])
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
 def _homogeneous(x: Fraction, y: Fraction) -> HPoint:
-    d = lcm(x.denominator, y.denominator)
-    return (x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d)
+    (X, Y), d = _common((x, y))
+    return (X, Y, d)
 
 
 def _signs(lines: Sequence[Line], p: HPoint) -> SignVector:
@@ -238,12 +240,10 @@ def z_member(polys: Sequence[TropPoly], point: Sequence[Fraction]) -> bool:
     non-tangible element there; the empty system has the whole space
     as its locus.  Works in any number of variables.
     """
-    pt = [Fraction(x) for x in point]
+    nums, d = _common([Fraction(x) for x in point])
     for f in polys:
-        if f.nvars != len(pt):
+        if f.nvars != len(nums):
             raise PreconditionError("point arity does not match the system")
-    d = lcm(*(x.denominator for x in pt))
-    nums = [x.numerator * (d // x.denominator) for x in pt]
     return _evaluate([_scaled(f) for f in polys], nums, d)[1]
 
 
@@ -267,7 +267,8 @@ def locus2d(polys: Sequence[TropPoly], box: Optional[Box] = None) -> LocusComple
     (x0, x1), (y0, y1) = box
     if not (x0 < x1 and y0 < y1):
         raise PreconditionError("degenerate box")
-    ties = _tie_lines(polys)
+    system = [_scaled(f) for f in polys]
+    ties = _tie_lines(system)
     if len(ties) > MAX_TIE_LINES:
         raise BoundError(
             f"{len(ties)} tie lines, more than locus.MAX_TIE_LINES = {MAX_TIE_LINES}"
@@ -308,7 +309,6 @@ def locus2d(polys: Sequence[TropPoly], box: Optional[Box] = None) -> LocusComple
     for h in order:
         witnesses.append(("vertex", (point_of[h],), h))
 
-    system = [_scaled(f) for f in polys]
     lines = (
         *ties,
         (x0.denominator, 0, x0.numerator),
@@ -454,37 +454,29 @@ def render_svg(L: LocusComplex, size: int = 600) -> bytes:
         fill = "#b9b9b9" if c.label == GHOST_REGION else "#ffffff"
         parts.append(f'<polygon points="{pts}" fill="{fill}" stroke="none"/>')
 
+    def x_line(v: Fraction, style: str) -> None:
+        parts.append(
+            f'<line x1="{sx(v)}" y1="{sy(y0)}" x2="{sx(v)}" y2="{sy(y1)}" {style}/>'
+        )
+
+    def y_line(v: Fraction, style: str) -> None:
+        parts.append(
+            f'<line x1="{sx(x0)}" y1="{sy(v)}" x2="{sx(x1)}" y2="{sy(v)}" {style}/>'
+        )
+
     # coordinate grid at integer multiples of a step coarse enough to
     # stay readable, then the axes where they cross the box
     step = (span + 15) // 16 if span > 16 else Fraction(1)
-    k = -(-x0 // step)  # ceil
-    while k * step <= x1:
-        v = k * step
-        parts.append(
-            f'<line x1="{sx(v)}" y1="{sy(y0)}" x2="{sx(v)}" y2="{sy(y1)}" '
-            f'stroke="#e4e4e4" stroke-width="0.5"/>'
-        )
-        k += 1
-    k = -(-y0 // step)
-    while k * step <= y1:
-        v = k * step
-        parts.append(
-            f'<line x1="{sx(x0)}" y1="{sy(v)}" x2="{sx(x1)}" y2="{sy(v)}" '
-            f'stroke="#e4e4e4" stroke-width="0.5"/>'
-        )
-        k += 1
+    grid = 'stroke="#e4e4e4" stroke-width="0.5"'
+    for k in range(ceil(x0 / step), floor(x1 / step) + 1):
+        x_line(k * step, grid)
+    for k in range(ceil(y0 / step), floor(y1 / step) + 1):
+        y_line(k * step, grid)
+    axis = 'stroke="#8899aa" stroke-width="1.5"'
     if x0 <= 0 <= x1:
-        z = Fraction(0)
-        parts.append(
-            f'<line x1="{sx(z)}" y1="{sy(y0)}" x2="{sx(z)}" y2="{sy(y1)}" '
-            f'stroke="#8899aa" stroke-width="1.5"/>'
-        )
+        x_line(Fraction(0), axis)
     if y0 <= 0 <= y1:
-        z = Fraction(0)
-        parts.append(
-            f'<line x1="{sx(x0)}" y1="{sy(z)}" x2="{sx(x1)}" y2="{sy(z)}" '
-            f'stroke="#8899aa" stroke-width="1.5"/>'
-        )
+        y_line(Fraction(0), axis)
 
     for c in L.cells:
         if c.kind != "edge":

@@ -29,7 +29,7 @@ from .core import (
     RATIONAL,
     add,
     e_of,
-    ghost,
+    format_element,
     mul,
     nu,
     one_of,
@@ -76,9 +76,6 @@ class TropPoly:
             if e == exp:
                 return c
         return zero_of(RATIONAL)
-
-    def term_dict(self) -> dict[Exponent, NuElement]:
-        return dict(self.terms)
 
     @property
     def is_zero(self) -> bool:
@@ -129,7 +126,7 @@ def p_var(nvars: int, i: int) -> TropPoly:
 def p_add(f: TropPoly, g: TropPoly) -> TropPoly:
     if f.nvars != g.nvars:
         raise ValueError("arity mismatch")
-    acc = f.term_dict()
+    acc = dict(f.terms)
     for exp, c in g.terms:
         acc[exp] = add(acc[exp], c) if exp in acc else c
     return make_poly(f.nvars, acc)
@@ -299,22 +296,19 @@ def canonicalize(f: TropPoly) -> CanonicalForm:
 
 
 def reduced_strict_part(f: TropPoly) -> TropPoly:
-    """Canonical form restricted to strictly essential terms.
+    """The strictly essential terms of f, with their coefficients.
 
-    This is a complete invariant of the function computed by f: two
-    polynomials evaluate identically everywhere precisely when their
-    reduced strict parts coincide coefficient-wise.
+    These are the terms the canonical form keeps unchanged, since
+    canonicalize only drops or ghosts the others.  This is a complete
+    invariant of the function computed by f: two polynomials evaluate
+    identically everywhere precisely when their reduced strict parts
+    coincide coefficient-wise.
     """
     if f.is_zero:
         return f
-    form = canonicalize(f)
-    ess = form.essentiality_map()
-    keep = {
-        exp: c
-        for exp, c in form.poly.terms
-        if ess[exp] is Essentiality.STRICTLY_ESSENTIAL
-    }
-    return make_poly(f.nvars, keep)
+    ess = essential_exponents(f)
+    keep = Essentiality.STRICTLY_ESSENTIAL
+    return TropPoly(f.nvars, tuple(t for t in f.terms if ess[t[0]] is keep))
 
 
 def func_equal(f: TropPoly, g: TropPoly) -> bool:
@@ -338,8 +332,7 @@ class Factorization:
         nvars = self.factors[0][0].nvars if self.factors else 1
         out = p_const(nvars, self.unit)
         for base, mult in self.factors:
-            for _ in range(mult):
-                out = p_mul(out, base)
+            out = p_mul(out, p_pow(base, mult))
         return out
 
 
@@ -496,7 +489,6 @@ _LETTER_INDEX = {"x": 0, "y": 1, "z": 2}
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens: list[tuple[str, str, int]] = []
         pos = 0
         while pos < len(text):
@@ -621,11 +613,6 @@ def parse_poly(text: str, nvars: Optional[int] = None) -> TropPoly:
     return parser.parse()
 
 
-def _coeff_text(c: NuElement) -> str:
-    suffix = "v" if c.layer is Layer.GHOST else ""
-    return f"{c.value}{suffix}"
-
-
 def _var_name(i: int, nvars: int) -> str:
     if nvars <= 3:
         return "xyz"[i]
@@ -646,7 +633,7 @@ def format_poly(f: TropPoly) -> str:
         atoms = []
         is_const = not any(exp)
         if is_const or c != one_of(RATIONAL):
-            atoms.append(_coeff_text(c))
+            atoms.append(format_element(c))
         for i, k in enumerate(exp):
             if k == 1:
                 atoms.append(_var_name(i, f.nvars))

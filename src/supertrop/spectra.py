@@ -45,12 +45,6 @@ from .congr import (
 )
 from .errors import ParseError, PreconditionError
 
-KIND_V_SUBSET = "V-of-subset"
-KIND_V_CONG = "V-of-congruence"
-KIND_D_ELEMENT = "D-of-element"
-KIND_D_RESTRICTED = "restricted-D"
-KIND_FOCAL = "focal-zone"
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -86,14 +80,14 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class ZSet:
-    """A subset of a spectrum remembered with the way it was built.
+    """A set of points of a spectrum, by index.
 
-    source is the defining element for the D-of-element and focal-zone
-    kinds, None otherwise.
+    source is the element f for the sets built from D(f) (d_set,
+    d_restricted and focal_zone) and None otherwise; sections over
+    such a set are the sections over D(source).
     """
 
     spectrum: Spectrum
-    kind: str
     members: frozenset[int]
     source: Optional[int] = None
 
@@ -118,17 +112,17 @@ def v_set(
         members = frozenset(
             i for i, p in enumerate(S.points) if arg.refines(p)
         )
-        return ZSet(S, KIND_V_CONG, members)
+        return ZSet(S, members)
     elements = frozenset(arg)
     members = frozenset(
         i for i, p in enumerate(S.points) if elements <= p.iG
     )
-    return ZSet(S, KIND_V_SUBSET, members)
+    return ZSet(S, members)
 
 
 def d_set(S: Spectrum, f: int) -> ZSet:
     """Basic open set: the primes where f stays non-ghost."""
-    return ZSet(S, KIND_D_ELEMENT, _d_members(S.points, f), source=f)
+    return ZSet(S, _d_members(S.points, f), source=f)
 
 
 def _d_members(points: Sequence[Congruence], f: int) -> frozenset[int]:
@@ -143,7 +137,7 @@ def d_restricted(S: Spectrum, C: Iterable[int], f: int) -> ZSet:
         for i, p in enumerate(S.points)
         if f not in p.iG and C <= p.iT
     )
-    return ZSet(S, KIND_D_RESTRICTED, members, source=f)
+    return ZSet(S, members, source=f)
 
 
 def _member_indices(S: Spectrum, Y: Union[ZSet, Iterable[int]]) -> frozenset[int]:
@@ -313,8 +307,7 @@ def s_of_f(
 
 def focal_zone(S: Spectrum, f: int) -> ZSet:
     """Points of D(f) whose tangible cluster swallows S(f)."""
-    zone = d_restricted(S, _s_of_f(S.carrier, S.points, f), f)
-    return ZSet(S, KIND_FOCAL, zone.members, source=f)
+    return d_restricted(S, _s_of_f(S.carrier, S.points, f), f)
 
 
 def is_nu_strict(S: Spectrum, f: int) -> bool:

@@ -408,12 +408,31 @@ def test_quotient_and_localize_reject_invalid_carrier_exit_3(capsys):
     for argv in (
         ["quotient", "--congruence", diagonal],
         ["localize", "--monoid", "1"],
+        ["congs"],
+        ["radical", "--elements", "1"],
     ):
         code, out, err = run(capsys, *argv, "--semiring", carrier)
         assert (code, out) == (3, "")
         assert err.splitlines() == [
             "precondition violated: carrier fails validation: prudent-maximal"
         ]
+
+
+def test_unknown_element_names_list_the_carrier(capsys):
+    R = flat_idempotent()
+    listing = ", ".join(R.names)
+    congruence = json.dumps({"classes": [["0", "1", "t", "1v", "q"]]})
+    for argv in (
+        ["sections", "--element", "q"],
+        ["localize", "--monoid", "1,q"],
+        ["radical", "--elements", "q"],
+        ["quotient", "--congruence", congruence],
+    ):
+        code, out, err = run(capsys, *argv, "--semiring", "flat-idempotent")
+        assert (code, out) == (2, ""), argv
+        assert err.splitlines() == [
+            f"parse error: no element named 'q'; carrier has {listing}"
+        ], argv
 
 
 def test_nullcheck_aggregates_all_q_congruences(capsys):

@@ -692,12 +692,27 @@ def test_quotient_and_localize_reject_invalid_carriers():
         (broken_add, ", ".join(validate(broken_add).failed_checks())),
     ):
         message = f"carrier fails validation: {failed}"
-        with pytest.raises(PreconditionError) as exc:
-            quotient(R, diagonal(R))
-        assert str(exc.value) == message
-        with pytest.raises(PreconditionError) as exc:
-            localize_finite(R, [R.one])
-        assert str(exc.value) == message
+        for call in (
+            lambda: quotient(R, diagonal(R)),
+            lambda: localize_finite(R, [R.one]),
+            lambda: enumerate_congruences(R),
+            lambda: srad(R, [R.one]),
+        ):
+            with pytest.raises(PreconditionError) as exc:
+                call()
+            assert str(exc.value) == message
+    # the size bound is checked before validity, so an oversize invalid
+    # carrier stops before any cubic work
+    T = str_trunc(4)
+    rows = [list(r) for r in T.add_table]
+    rows[1][2] = 0
+    oversize = FiniteNuSemiring(
+        T.names, T.zero, T.one, tuple(map(tuple, rows)),
+        T.mul_table, T.nu_table, T.tangible, T.prudent,
+    )
+    assert not validate(oversize).passed
+    with pytest.raises(BoundError):
+        enumerate_congruences(oversize)
 
 
 # -- enumeration bound ----------------------------------------------------

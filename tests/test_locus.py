@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import locus_oracles as oracle
+from supertrop import locus
 from supertrop.core import rat_g, rat_t
 from supertrop.errors import BoundError, PreconditionError
 from supertrop.locus import (
@@ -293,6 +294,8 @@ def oracle_systems():
 
 def test_locus_matches_fraction_oracle():
     for polys, box in oracle_systems():
+        scaled = [locus._scaled(f) for f in polys]
+        assert locus._tie_lines(scaled) == oracle._tie_lines(polys), polys
         L = locus2d(polys, box)
         O = oracle.locus2d(polys, box)
         assert L.box == O.box

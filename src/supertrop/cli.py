@@ -194,7 +194,7 @@ def _cmd_radical(args: argparse.Namespace) -> Payload:
     else:
         theta = _load_congruence(R, args.congruence)
         result = congr.crad(R, theta, args.bound)
-    if result is congr.EMPTY_RADICAL:
+    if result is None:
         return _dumps({"classes": None})
     return congr.cong_to_json(result)
 
@@ -359,16 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--kind",
-        choices=(
-            congr.FLAG_Q,
-            congr.FLAG_L,
-            congr.FLAG_PRIME,
-            congr.FLAG_RADICAL,
-            congr.FLAG_DETERMINED,
-            congr.FLAG_GHOST,
-            congr.FLAG_TANGLY_MINIMAL,
-            congr.FLAG_MAXIMAL_L,
-        ),
+        choices=congr.FLAGS,
         help="keep only congruences carrying this flag",
     )
     p.set_defaults(func=_cmd_congs)

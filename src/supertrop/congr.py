@@ -61,6 +61,11 @@ FLAG_DETERMINED = "Determined"
 FLAG_GHOST = "GhostCong"
 FLAG_TANGLY_MINIMAL = "TanglyMinimal"
 FLAG_MAXIMAL_L = "MaximalL"
+# every flag, in the order the CLI offers them to congs --kind
+FLAGS = (
+    FLAG_Q, FLAG_L, FLAG_PRIME, FLAG_RADICAL, FLAG_DETERMINED, FLAG_GHOST,
+    FLAG_TANGLY_MINIMAL, FLAG_MAXIMAL_L,
+)
 
 
 @dataclass(frozen=True)
@@ -79,7 +84,10 @@ class FiniteNuSemiring:
     def __post_init__(self) -> None:
         n = len(self.names)
         if len(set(self.names)) != n:
-            raise ValueError("element names must be distinct")
+            repeated = next(x for x in self.names if self.names.count(x) > 1)
+            raise PreconditionError(
+                f"element names must be distinct: {repeated!r} repeats"
+            )
         if not (0 <= self.zero < n and 0 <= self.one < n):
             raise ValueError("zero/one out of range")
         for table in (self.add_table, self.mul_table):
@@ -159,7 +167,6 @@ class FiniteNuSemiring:
 
 
 def computed_prudent(
-    size: int,
     mul_table: Sequence[Sequence[int]],
     tangible: frozenset[int],
 ) -> frozenset[int]:
@@ -198,7 +205,7 @@ def make_semiring(
     tan = frozenset(tangible)
     return FiniteNuSemiring(
         tuple(names), zero, one, tuple(tuple(row) for row in add_table),
-        mul_t, tuple(nu_table), tan, computed_prudent(len(names), mul_t, tan),
+        mul_t, tuple(nu_table), tan, computed_prudent(mul_t, tan),
     )
 
 
@@ -313,7 +320,7 @@ def validate(R: FiniteNuSemiring) -> ValidationReport:
     ))
     check("prudent-maximal", (
         ["prudent differs from the maximal admissible set"]
-        if R.prudent != computed_prudent(n, R.mul_table, R.tangible)
+        if R.prudent != computed_prudent(R.mul_table, R.tangible)
         else []
     ))
     check("units-prudent", (
@@ -793,21 +800,9 @@ def localize_finite(
 # -- radicals -----------------------------------------------------------
 
 
-class EmptyRadical:
-    """Marker for a radical over an empty family of congruences."""
-
-    _instance: Optional["EmptyRadical"] = None
-
-    def __new__(cls) -> "EmptyRadical":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "EMPTY_RADICAL"
-
-
-EMPTY_RADICAL = EmptyRadical()
+# what crad, srad and jac return when no member of their family
+# contains theta: the radical over an empty family
+EMPTY_RADICAL = None
 
 
 def nu_primes(
@@ -816,21 +811,22 @@ def nu_primes(
     return enumerate_congruences(R, bound, FLAG_PRIME)
 
 
-def _meet_above(theta: Congruence, family: Iterable[Congruence]):
-    """Intersection of the members of family containing theta;
-    EMPTY_RADICAL if none does."""
+def _meet_above(
+    theta: Congruence, family: Iterable[Congruence]
+) -> Optional[Congruence]:
+    """Intersection of the members of family containing theta; None if
+    none does."""
     containing = [c for c in family if theta.refines(c)]
-    if not containing:
-        return EMPTY_RADICAL
-    return cong_intersect(*containing)
+    return cong_intersect(*containing) if containing else None
 
 
 def crad(
     R: FiniteNuSemiring,
     theta: Congruence,
     bound: int = DEFAULT_BOUND,
-):
-    """Intersection of the nu-primes containing theta; EMPTY_RADICAL if none."""
+) -> Optional[Congruence]:
+    """Intersection of the nu-primes containing theta; None when no
+    nu-prime contains theta."""
     return _meet_above(theta, nu_primes(R, bound))
 
 
@@ -838,8 +834,9 @@ def srad(
     R: FiniteNuSemiring,
     elements: Iterable[int],
     bound: int = DEFAULT_BOUND,
-):
-    """Radical of a ghostified element set."""
+) -> Optional[Congruence]:
+    """Radical of a ghostified element set: crad of ghostify(R,
+    elements), so None when no nu-prime contains that congruence."""
     return crad(R, ghostify(R, elements), bound)
 
 
@@ -850,19 +847,14 @@ def gprad(R: FiniteNuSemiring) -> frozenset[int]:
     )
 
 
-def maximal_l_congruences(
-    R: FiniteNuSemiring, bound: int = DEFAULT_BOUND
-) -> tuple[Congruence, ...]:
-    return enumerate_congruences(R, bound, FLAG_MAXIMAL_L)
-
-
 def jac(
     R: FiniteNuSemiring,
     theta: Congruence,
     bound: int = DEFAULT_BOUND,
-):
-    """Intersection of the maximal l-congruences containing theta."""
-    return _meet_above(theta, maximal_l_congruences(R, bound))
+) -> Optional[Congruence]:
+    """Intersection of the maximal l-congruences containing theta; None
+    when no maximal l-congruence contains theta."""
+    return _meet_above(theta, enumerate_congruences(R, bound, FLAG_MAXIMAL_L))
 
 
 # -- homomorphisms ------------------------------------------------------
@@ -875,9 +867,6 @@ class QHom:
     src: FiniteNuSemiring
     dst: FiniteNuSemiring
     mapping: tuple[int, ...]
-
-    def __call__(self, a: int) -> int:
-        return self.mapping[a]
 
 
 def check_q_homomorphism(phi: QHom) -> Optional[str]:
@@ -1020,6 +1009,13 @@ def semiring_from_json(text: str) -> FiniteNuSemiring:
         pos = {name: i for i, name in enumerate(names)}
         if len(pos) != len(names):
             raise ParseError("duplicate element names")
+        for name in names:
+            # a comma would split the name in --elements and --monoid, a
+            # line break would split a one-line message listing names
+            if "," in name or "".join(name.splitlines()) != name:
+                raise ParseError(
+                    f"element name {name!r} contains a comma or a line break"
+                )
 
         def look(name) -> int:
             if name not in pos:

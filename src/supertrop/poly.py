@@ -71,21 +71,9 @@ class TropPoly:
 
     # -- conveniences ------------------------------------------------
 
-    def coeff(self, exp: Exponent) -> NuElement:
-        for e, c in self.terms:
-            if e == exp:
-                return c
-        return zero_of(RATIONAL)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self) -> int:
-        """Total degree; the zero polynomial reports -1."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e, _ in self.terms)
 
     def __add__(self, other: "TropPoly") -> "TropPoly":
         return p_add(self, other)

@@ -28,7 +28,6 @@ from typing import Iterable, Optional, Sequence, Union
 from .congr import (
     Congruence,
     DEFAULT_BOUND,
-    EMPTY_RADICAL,
     FLAG_PRIME,
     FiniteNuSemiring,
     _basic_flags,
@@ -40,7 +39,6 @@ from .congr import (
     gprad,
     localize_finite,
     nu_primes,
-    require_valid,
     srad,
 )
 from .errors import ParseError, PreconditionError
@@ -56,9 +54,6 @@ class Spectrum:
 
     carrier: FiniteNuSemiring
     points: tuple[Congruence, ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -91,15 +86,10 @@ class ZSet:
     members: frozenset[int]
     source: Optional[int] = None
 
-    def __contains__(self, i: int) -> bool:
-        return i in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
 
 def spec(R: FiniteNuSemiring, bound: int = DEFAULT_BOUND) -> Spectrum:
-    require_valid(R)
+    """The nu-prime spectrum; like every function here that starts from
+    nu_primes, it checks the size bound before validity."""
     return Spectrum(R, nu_primes(R, bound))
 
 
@@ -200,9 +190,7 @@ def rcl(
     """Radical closure of an element set: the ghost cluster of its
     s-radical, or the empty set when no prime ghostifies it."""
     rad = srad(R, elements, bound)
-    if rad is EMPTY_RADICAL:
-        return frozenset()
-    return rad.iG
+    return frozenset() if rad is None else rad.iG
 
 
 # -- dimension ----------------------------------------------------------
@@ -301,7 +289,6 @@ def s_of_f(
     Spanned by the prudent non-ghost-divisors h whose D(h) covers
     D(f), together with all powers of f when f itself is prudent.
     """
-    require_valid(R)
     return _s_of_f(R, nu_primes(R, bound), f)
 
 
@@ -379,14 +366,10 @@ def nullstellensatz_check(
     An empty V(theta) pairs with the empty radical: both sides then
     hold for every element.
     """
-    require_valid(R)
     points = nu_primes(R, bound)
     over = [p for p in points if theta.refines(p)]
     rad = crad(R, theta, bound)
-    if rad is EMPTY_RADICAL:
-        ghost_side = frozenset(range(R.size))
-    else:
-        ghost_side = rad.iG
+    ghost_side = frozenset(range(R.size)) if rad is None else rad.iG
     failures = []
     for f in range(R.size):
         lhs = all(f in p.iG for p in over)
@@ -405,34 +388,27 @@ def krull_check(R: FiniteNuSemiring, bound: int = DEFAULT_BOUND) -> CheckReport:
     """The ghostpotent radical agrees with the s-radicals of the empty
     set and of the ghosts, with the intersection of all primes, and
     its ghost cluster collects exactly the ghostpotents."""
-    require_valid(R)
     points = nu_primes(R, bound)
     rad_empty = srad(R, (), bound)
     rad_ghost = srad(R, R.ghost0, bound)
     rad_gp = srad(R, gprad(R), bound)
     failures = []
 
-    def reps(rad) -> object:
-        return None if rad is EMPTY_RADICAL else rad.reps
+    def reps(rad: Optional[Congruence]) -> Optional[tuple[int, ...]]:
+        return None if rad is None else rad.reps
 
     if reps(rad_empty) != reps(rad_ghost):
         failures.append("srad of empty set differs from srad of ghosts")
     if reps(rad_empty) != reps(rad_gp):
         failures.append("srad of empty set differs from srad of ghostpotents")
     if points:
-        inter = cong_intersect(*points)
-        if rad_empty is EMPTY_RADICAL or rad_empty.reps != inter.reps:
+        if reps(rad_empty) != cong_intersect(*points).reps:
             failures.append("srad of empty set differs from prime intersection")
-        cluster = (
-            frozenset(range(R.size))
-            if rad_empty is EMPTY_RADICAL
-            else rad_empty.iG
-        )
+        cluster = frozenset(range(R.size)) if rad_empty is None else rad_empty.iG
         if cluster != gprad(R):
             failures.append("radical ghost cluster misses the ghostpotents")
-    else:
-        if rad_empty is not EMPTY_RADICAL:
-            failures.append("no primes yet a nonempty radical")
+    elif rad_empty is not None:
+        failures.append("no primes yet a nonempty radical")
     return CheckReport("krull", not failures, 4, tuple(failures))
 
 

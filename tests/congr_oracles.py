@@ -264,7 +264,7 @@ def eager_validate(R: FiniteNuSemiring) -> ValidationReport:
     check("prudent-maximal", first(
         [(
             "prudent differs from the maximal admissible set",
-            R.prudent == computed_prudent(n, R.mul_table, R.tangible),
+            R.prudent == computed_prudent(R.mul_table, R.tangible),
         )]
     ))
     check("units-prudent", first(
@@ -390,7 +390,7 @@ def pairwise_localize_finite(
         tuple(mul_t),
         nu_t,
         frozenset(tangible_cls),
-        computed_prudent(n, tuple(mul_t), frozenset(tangible_cls)),
+        computed_prudent(tuple(mul_t), frozenset(tangible_cls)),
     )
     report = validate(out)
     if not report.passed:

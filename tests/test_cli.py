@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from supertrop import congr
 from supertrop.cli import main
 from supertrop.congr import (
     MAX_CHAIN,
@@ -21,6 +22,9 @@ from supertrop.congr import (
     class_names,
     enumerate_congruences,
     flat_idempotent,
+    mixed_units,
+    str_chain,
+    str_trunc,
     superboolean,
     to_json,
 )
@@ -39,6 +43,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     cap = capsys.readouterr()
     return code, cap.out, cap.err
+
+
+def renamed(obj, old, new):
+    """A JSON value with the string old replaced by new everywhere, keys
+    included."""
+    if isinstance(obj, dict):
+        return {renamed(k, old, new): renamed(v, old, new) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [renamed(x, old, new) for x in obj]
+    return new if obj == old else obj
 
 
 def rand_poly_text(rng: random.Random, nvars: int) -> str:
@@ -435,6 +449,70 @@ def test_unknown_element_names_list_the_carrier(capsys):
         ], argv
 
 
+def test_size_bound_is_checked_before_validity(capsys):
+    # a 9-element carrier over the default bound of 7, and a 5-element
+    # one within it, each failing validation
+    big = json.loads(to_json(str_trunc(4)))
+    big["add"][1][2] = big["zero"]
+    small = json.loads(to_json(mixed_units()))
+    small["mul"][small["elements"].index("t")][small["elements"].index("u")] = "1v"
+    for obj, bounded_code in ((big, 4), (small, 3)):
+        diagonal = json.dumps({"classes": [[x] for x in obj["elements"]]})
+        for argv, code in (
+            (["congs"], bounded_code),
+            (["spec"], bounded_code),
+            (["radical", "--elements", "1"], bounded_code),
+            (["radical", "--congruence", diagonal], bounded_code),
+            (["sections", "--element", "1"], bounded_code),
+            (["stalk", "--point", "0"], bounded_code),
+            (["nullcheck"], bounded_code),
+            (["nullcheck", "--congruence", diagonal], bounded_code),
+            (["krullcheck"], bounded_code),
+            # no enumeration, so no size bound
+            (["quotient", "--congruence", diagonal], 3),
+            (["localize", "--monoid", "1"], 3),
+        ):
+            got, out, err = run(capsys, *argv, "--semiring", json.dumps(obj))
+            assert (got, out) == (code, ""), (len(obj["elements"]), argv)
+            assert len(err.splitlines()) == 1, argv
+            prefix = "enumeration bound" if code == 4 else "precondition"
+            assert err.startswith(prefix), argv
+
+
+def test_spec_stops_an_oversize_carrier_before_validating(capsys, monkeypatch):
+    def no_validation(R):
+        raise AssertionError("validate ran on an oversize carrier")
+
+    monkeypatch.setattr(congr, "validate", no_validation)
+    congr._validate_cached.cache_clear()
+    code, out, err = run(capsys, "spec", "--semiring", f"str-chain:{MAX_CHAIN}")
+    assert (code, out) == (4, "")
+    assert err.startswith("enumeration bound exceeded: carrier has 65 elements")
+
+
+def test_constructed_name_collision_exits_3(capsys):
+    obj = renamed(json.loads(to_json(str_chain(2))), "1v", "a|av")
+    classes = json.dumps({"classes": [["0"], ["1"], ["a|av"], ["a", "av"]]})
+    code, out, err = run(
+        capsys, "quotient", "--semiring", json.dumps(obj), "--congruence", classes
+    )
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [
+        "precondition violated: element names must be distinct: 'a|av' repeats"
+    ]
+
+
+@pytest.mark.parametrize("name", ["t,x", "t\nx", "t\rx"])
+def test_element_names_with_comma_or_line_break_exit_2(capsys, name):
+    carrier = json.dumps(renamed(json.loads(to_json(flat_idempotent())), "t", name))
+    for argv in (["validate"], ["radical", "--elements", "q"]):
+        code, out, err = run(capsys, *argv, "--semiring", carrier)
+        assert (code, out) == (2, ""), argv
+        assert err.splitlines() == [
+            f"parse error: element name {name!r} contains a comma or a line break"
+        ], argv
+
+
 def test_nullcheck_aggregates_all_q_congruences(capsys):
     code, out, _ = run(capsys, "nullcheck", "--semiring", "str-trunc:3")
     assert code == 0
@@ -763,25 +841,35 @@ def test_polynomial_verbs_never_raise(verb, left, right, point, system, box, fmt
 
 
 # The carrier verbs read inline JSON carriers of at most 7 elements: a
-# bundled carrier as it is, with edited tables, subsets, zero or one,
-# or malformed text.  Congruences are the base carrier's own, random
+# bundled carrier as it is, with one element renamed, with edited
+# tables, subsets, zero or one, or malformed text.  Congruences are the base carrier's own, random
 # partitions, or malformed text; element lists may name unknown
 # elements.  Malformed text starts with "{", so it is never read as a
 # file path or a builtin name.
 
-_VERBS = ["validate", "congs", "radical", "quotient", "localize",
+_VERBS = ["validate", "congs", "spec", "radical", "quotient", "localize",
           "sections", "stalk", "nullcheck", "krullcheck"]
 _BASES = [
     (json.loads(to_json(R)), [class_names(c) for c in enumerate_congruences(R)])
     for _, R in bundled_suite()
 ]
 _junk = st.text(alphabet='{}[]":,01abtv ', max_size=16).map("{".__add__)
+# names like the ones the quotient ("|") and localization ("/")
+# constructions build, and names the name rule rejects
+_RENAMES = ["a|av", "1|1v", "t,x", "t\nx", "1/t"]
 
 
 @st.composite
 def _carrier_argv(draw):
     obj, congs = draw(st.sampled_from(_BASES))
     obj = copy.deepcopy(obj)
+    if draw(st.integers(0, 2)) == 0:
+        # rename one element consistently across the whole object, maybe
+        # to the name a quotient gives one of the carrier's classes
+        old = draw(st.sampled_from(obj["elements"]))
+        joined = ["|".join(c) for cs in congs for c in cs if len(c) > 1]
+        new = draw(st.sampled_from(_RENAMES + joined))
+        obj, congs = renamed(obj, old, new), renamed(congs, old, new)
     names, one = obj["elements"], obj["one"]
     name = st.sampled_from(names + ["zz"])
     edits = st.tuples(

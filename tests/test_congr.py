@@ -64,7 +64,13 @@ from supertrop.congr import (
     validate,
 )
 from supertrop.errors import BoundError, ParseError, PreconditionError
-from supertrop.spectra import spec
+from supertrop.spectra import (
+    krull_check,
+    krull_dim,
+    nullstellensatz_check,
+    s_of_f,
+    spec,
+)
 
 from congr_oracles import (
     brute_congruences,
@@ -711,8 +717,16 @@ def test_quotient_and_localize_reject_invalid_carriers():
         T.mul_table, T.nu_table, T.tangible, T.prudent,
     )
     assert not validate(oversize).passed
-    with pytest.raises(BoundError):
-        enumerate_congruences(oversize)
+    for call in (
+        lambda: enumerate_congruences(oversize),
+        lambda: spec(oversize),
+        lambda: s_of_f(oversize, oversize.one),
+        lambda: krull_dim(oversize),
+        lambda: krull_check(oversize),
+        lambda: nullstellensatz_check(oversize, diagonal(oversize)),
+    ):
+        with pytest.raises(BoundError):
+            call()
 
 
 # -- enumeration bound ----------------------------------------------------
@@ -879,6 +893,21 @@ def test_semiring_json_errors():
     good["add"][0][0] = "mystery"
     with pytest.raises(ParseError):
         semiring_from_json(json.dumps(good))
+
+
+def test_element_name_contracts():
+    # the JSON reader rejects names that a comma-separated list or a
+    # one-line message cannot carry
+    for name in ("b,1", "b\n1", "b\r\n1", "b\u20281"):
+        text = to_json(B).replace('"b1"', json.dumps(name))
+        with pytest.raises(ParseError, match="comma or a line break"):
+            semiring_from_json(text)
+    # a constructed carrier whose names collide is a violated precondition
+    with pytest.raises(PreconditionError, match="'b1' repeats"):
+        FiniteNuSemiring(
+            ("b0", "b1", "b1"), B.zero, B.one, B.add_table, B.mul_table,
+            B.nu_table, B.tangible, B.prudent,
+        )
 
 
 def test_congruence_json_roundtrip():

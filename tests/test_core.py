@@ -200,6 +200,32 @@ def test_power_zero_exponent():
             raise AssertionError("zeroth power must require invertibility")
 
 
+def test_chain_power_is_repeated_product():
+    for op in ("trunc", "max"):
+        for size in (1, 2, 3, 4):
+            m = chain_monoid(size, op)
+            for a in chain_elements(m):
+                acc = a
+                for n in range(1, 7):
+                    assert power(a, n) == acc, (op, size, a, n)
+                    acc = mul(acc, a)
+    # saturation: 1 * 1 = 2 stays tangible in the 3-step truncated chain,
+    # but 2 * 1 collides with 2 * 0 and ghosts the cube
+    trunc = chain_monoid(3, "trunc")
+    assert power(tangible(trunc, 1), 2) == tangible(trunc, 2)
+    assert power(tangible(trunc, 1), 3) == ghost(trunc, 2)
+    # max is idempotent, so every tangible square but the unit's collides
+    top = chain_monoid(3, "max")
+    assert power(tangible(top, 0), 5) == tangible(top, 0)
+    assert power(tangible(top, 1), 2) == ghost(top, 1)
+
+
+def test_superboolean_format_parse_roundtrip():
+    for text, a in zip(("b0", "b1", "b1v"), BOOLS):
+        assert format_element(a) == text
+        assert parse_element(format_element(a)) == a
+
+
 def test_nu_compare_zero_is_bottom():
     assert nu_compare(RAT_ZERO, rat_t(-100)) is NuOrder.LESS
     assert nu_compare(rat_g(-100), RAT_ZERO) is NuOrder.GREATER

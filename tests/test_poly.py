@@ -208,7 +208,7 @@ def test_tie_only_term_is_ghosted():
     # envelope: max(2x, x, 0); x attains only at x = 0 where 2x and 0 tie
     form = canonicalize(f)
     assert form.essentiality_map()[(1,)] is Essentiality.TIE_ONLY
-    assert form.poly.coeff((1,)) == rat_g(Fraction(0))
+    assert dict(form.poly.terms)[(1,)] == rat_g(Fraction(0))
 
 
 def test_canonicalize_idempotent():

@@ -122,13 +122,7 @@ class FiniteNuSemiring:
 
     def powers_of(self, a: int) -> frozenset[int]:
         """All distinct positive powers of a (the sequence cycles)."""
-        seen = {a}
-        cur = a
-        while True:
-            cur = self.mul(cur, a)
-            if cur in seen:
-                return frozenset(seen)
-            seen.add(cur)
+        return _powers(self.mul_table, a)
 
     @cached_property
     def ghost0(self) -> frozenset[int]:
@@ -166,25 +160,24 @@ class FiniteNuSemiring:
             ) from None
 
 
+def _powers(mul_table: Sequence[Sequence[int]], a: int) -> frozenset[int]:
+    """All distinct positive powers of a under a multiplication table;
+    the sequence a, a^2, ... cycles, so the walk stops at a repeat."""
+    seen = {a}
+    cur = a
+    while True:
+        cur = mul_table[cur][a]
+        if cur in seen:
+            return frozenset(seen)
+        seen.add(cur)
+
+
 def computed_prudent(
     mul_table: Sequence[Sequence[int]],
     tangible: frozenset[int],
 ) -> frozenset[int]:
     """Tangible elements all of whose powers stay tangible."""
-    out = set()
-    for a in tangible:
-        cur = a
-        seen = set()
-        good = True
-        while cur not in seen:
-            seen.add(cur)
-            if cur not in tangible:
-                good = False
-                break
-            cur = mul_table[cur][a]
-        if good:
-            out.add(a)
-    return frozenset(out)
+    return frozenset(a for a in tangible if _powers(mul_table, a) <= tangible)
 
 
 def make_semiring(
@@ -527,7 +520,6 @@ def _join(theta: tuple[int, ...], phi: tuple[int, ...]) -> tuple[int, ...]:
     return _canonical_reps(parent)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _all_congruences(R: FiniteNuSemiring) -> tuple[Congruence, ...]:
     """The whole lattice: the diagonal, the principal congruences
     Cg(a, b), and their joins (Freese, "Computing congruences
@@ -604,16 +596,19 @@ def _relative_flags(
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _flag_family(R: FiniteNuSemiring) -> dict[str, tuple[Congruence, ...]]:
-    """The lattice filtered by each flag, computed once per carrier."""
+def _flag_family(
+    R: FiniteNuSemiring,
+) -> dict[Optional[str], tuple[Congruence, ...]]:
+    """The lattice, under the key None, and the lattice filtered by
+    each flag, computed once per carrier."""
     lattice = _all_congruences(R)
     flag_sets = [_basic_flags(R, c) for c in lattice]
     l_congs = [c for c, flags in zip(lattice, flag_sets) if FLAG_L in flags]
-    family: dict[str, list[Congruence]] = {}
+    family: dict[Optional[str], list[Congruence]] = {}
     for c, flags in zip(lattice, flag_sets):
         if FLAG_L in flags:
             flags |= _relative_flags(c, l_congs)
-        for flag in flags:
+        for flag in (None, *flags):
             family.setdefault(flag, []).append(c)
     return {flag: tuple(cs) for flag, cs in family.items()}
 
@@ -648,8 +643,6 @@ def enumerate_congruences(
             f"carrier has {R.size} elements, enumeration bound is {bound}"
         )
     require_valid(R)
-    if kind is None:
-        return _all_congruences(R)
     return _flag_family(R).get(kind, ())
 
 
@@ -1011,10 +1004,15 @@ def semiring_from_json(text: str) -> FiniteNuSemiring:
             raise ParseError("duplicate element names")
         for name in names:
             # a comma would split the name in --elements and --monoid, a
-            # line break would split a one-line message listing names
+            # line break would split a one-line message listing names,
+            # and those lists strip each item and drop empty ones
             if "," in name or "".join(name.splitlines()) != name:
                 raise ParseError(
                     f"element name {name!r} contains a comma or a line break"
+                )
+            if not name or name.strip() != name:
+                raise ParseError(
+                    f"element name {name!r} is empty or padded with whitespace"
                 )
 
         def look(name) -> int:

@@ -157,15 +157,6 @@ class NuElement:
     def is_ghost(self) -> bool:
         return self.layer is Layer.GHOST
 
-    def __add__(self, other: "NuElement") -> "NuElement":
-        return add(self, other)
-
-    def __mul__(self, other: "NuElement") -> "NuElement":
-        return mul(self, other)
-
-    def __pow__(self, n: int) -> "NuElement":
-        return power(self, n)
-
     def __repr__(self) -> str:
         return f"NuElement({format_element(self)!r})"
 

@@ -69,23 +69,9 @@ class TropPoly:
         if tuple(sorted(self.terms)) != self.terms:
             raise ValueError("terms not sorted")
 
-    # -- conveniences ------------------------------------------------
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __add__(self, other: "TropPoly") -> "TropPoly":
-        return p_add(self, other)
-
-    def __mul__(self, other: "TropPoly") -> "TropPoly":
-        return p_mul(self, other)
-
-    def __pow__(self, n: int) -> "TropPoly":
-        return p_pow(self, n)
-
-    def __str__(self) -> str:
-        return format_poly(self)
 
 
 def make_poly(nvars: int, coeffs: Mapping[Exponent, NuElement]) -> TropPoly:

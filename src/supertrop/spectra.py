@@ -35,36 +35,25 @@ from .congr import (
     class_names,
     classify,
     cong_intersect,
-    crad,
     gprad,
     localize_finite,
     nu_primes,
     srad,
 )
-from .errors import ParseError, PreconditionError
+from .errors import PreconditionError
 
 
 @dataclass(frozen=True)
 class Spectrum:
     """All nu-prime congruences of a carrier, in canonical order.
 
-    Points are indexed; the name of point i is "pi".  The list is
-    enumeration-complete, so membership tests against it are exact.
+    A point is known by its index into points, which index_of recovers
+    from the congruence.  The list is enumeration-complete, so
+    membership tests against it are exact.
     """
 
     carrier: FiniteNuSemiring
     points: tuple[Congruence, ...]
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(f"p{i}" for i in range(len(self.points)))
-
-    def index(self, name: str) -> int:
-        if name.startswith("p") and name[1:].isdigit():
-            i = int(name[1:])
-            if 0 <= i < len(self.points):
-                return i
-        raise ParseError(f"unknown spectrum point {name!r}")
 
     def index_of(self, p: Congruence) -> int:
         for i, q in enumerate(self.points):
@@ -112,11 +101,7 @@ def v_set(
 
 def d_set(S: Spectrum, f: int) -> ZSet:
     """Basic open set: the primes where f stays non-ghost."""
-    return ZSet(S, _d_members(S.points, f), source=f)
-
-
-def _d_members(points: Sequence[Congruence], f: int) -> frozenset[int]:
-    return frozenset(i for i, p in enumerate(points) if f not in p.iG)
+    return d_restricted(S, (), f)
 
 
 def d_restricted(S: Spectrum, C: Iterable[int], f: int) -> ZSet:
@@ -175,11 +160,12 @@ def irreducible(
     relation).
     """
     members = _member_indices(S, Y)
-    if closure_of(S, members).members != members:
+    theta = i_of(S, members)
+    if v_set(S, theta).members != members:
         raise PreconditionError("irreducibility is only defined for closed sets")
     if not members:
         return False
-    return FLAG_PRIME in _basic_flags(S.carrier, i_of(S, members))
+    return FLAG_PRIME in _basic_flags(S.carrier, theta)
 
 
 def rcl(
@@ -268,14 +254,11 @@ def _mult_closure(R: FiniteNuSemiring, gens: Iterable[int]) -> frozenset[int]:
     return frozenset(out)
 
 
-def _s_of_f(
-    R: FiniteNuSemiring, points: Sequence[Congruence], f: int
-) -> frozenset[int]:
-    d_f = _d_members(points, f)
+def _s_of_f(S: Spectrum, f: int) -> frozenset[int]:
+    R = S.carrier
+    d_f = d_set(S, f).members
     candidates = R.prudent - R.ghost_divisors()
-    base = {
-        h for h in candidates if d_f <= _d_members(points, h)
-    }
+    base = {h for h in candidates if d_f <= d_set(S, h).members}
     if f in R.prudent:
         base |= R.powers_of(f)
     return _mult_closure(R, base)
@@ -289,12 +272,12 @@ def s_of_f(
     Spanned by the prudent non-ghost-divisors h whose D(h) covers
     D(f), together with all powers of f when f itself is prudent.
     """
-    return _s_of_f(R, nu_primes(R, bound), f)
+    return _s_of_f(spec(R, bound), f)
 
 
 def focal_zone(S: Spectrum, f: int) -> ZSet:
     """Points of D(f) whose tangible cluster swallows S(f)."""
-    return d_restricted(S, _s_of_f(S.carrier, S.points, f), f)
+    return d_restricted(S, _s_of_f(S, f), f)
 
 
 def is_nu_strict(S: Spectrum, f: int) -> bool:
@@ -315,7 +298,7 @@ def sections(
         f = dset.source
     else:
         f = dset
-    C = _s_of_f(S.carrier, S.points, f)
+    C = _s_of_f(S, f)
     return localize_finite(S.carrier, sorted(C))[0]
 
 
@@ -361,15 +344,14 @@ def nullstellensatz_check(
     bound: int = DEFAULT_BOUND,
 ) -> CheckReport:
     """Element f has a ghost residue at every point over theta exactly
-    when f lies in the ghost cluster of crad(theta).
+    when f lies in the ghost cluster of crad(theta), the intersection
+    of the points over theta.
 
     An empty V(theta) pairs with the empty radical: both sides then
     hold for every element.
     """
-    points = nu_primes(R, bound)
-    over = [p for p in points if theta.refines(p)]
-    rad = crad(R, theta, bound)
-    ghost_side = frozenset(range(R.size)) if rad is None else rad.iG
+    over = [p for p in nu_primes(R, bound) if theta.refines(p)]
+    ghost_side = cong_intersect(*over).iG if over else frozenset(range(R.size))
     failures = []
     for f in range(R.size):
         lhs = all(f in p.iG for p in over)
@@ -393,16 +375,12 @@ def krull_check(R: FiniteNuSemiring, bound: int = DEFAULT_BOUND) -> CheckReport:
     rad_ghost = srad(R, R.ghost0, bound)
     rad_gp = srad(R, gprad(R), bound)
     failures = []
-
-    def reps(rad: Optional[Congruence]) -> Optional[tuple[int, ...]]:
-        return None if rad is None else rad.reps
-
-    if reps(rad_empty) != reps(rad_ghost):
+    if rad_empty != rad_ghost:
         failures.append("srad of empty set differs from srad of ghosts")
-    if reps(rad_empty) != reps(rad_gp):
+    if rad_empty != rad_gp:
         failures.append("srad of empty set differs from srad of ghostpotents")
     if points:
-        if reps(rad_empty) != cong_intersect(*points).reps:
+        if rad_empty != cong_intersect(*points):
             failures.append("srad of empty set differs from prime intersection")
         cluster = frozenset(range(R.size)) if rad_empty is None else rad_empty.iG
         if cluster != gprad(R):

@@ -4,12 +4,13 @@ The congruence oracles read only a carrier's tables and share no code
 with supertrop.congr, so the library's lattice and closure can be
 checked against them.  All return least-representative tuples (reps).
 
-The last three are the library's former validate, which formatted a
+The last five are the library's former validate, which formatted a
 witness for every case it checked, its former localize_finite, which
 found the fraction classes by a pairwise union-find over all fraction
-pairs, and its former find_isomorphism, which scanned the permutations
-within groups of same-profile elements.  They are kept verbatim as
-differential references.
+pairs, its former find_isomorphism, which scanned the permutations
+within groups of same-profile elements, and the two power walks that
+FiniteNuSemiring.powers_of and computed_prudent each ran on their own.
+They are kept verbatim as differential references.
 """
 
 import itertools
@@ -448,3 +449,32 @@ def scan_isomorphism(
         if check_q_homomorphism(QHom(A, B, mapping)) is None:
             return mapping
     return None
+
+
+def loop_powers_of(R: FiniteNuSemiring, a: int) -> frozenset[int]:
+    """All distinct positive powers of a (the sequence cycles)."""
+    seen = {a}
+    cur = a
+    while True:
+        cur = R.mul(cur, a)
+        if cur in seen:
+            return frozenset(seen)
+        seen.add(cur)
+
+
+def loop_computed_prudent(mul_table, tangible: frozenset[int]) -> frozenset[int]:
+    """Tangible elements all of whose powers stay tangible."""
+    out = set()
+    for a in tangible:
+        cur = a
+        seen = set()
+        good = True
+        while cur not in seen:
+            seen.add(cur)
+            if cur not in tangible:
+                good = False
+                break
+            cur = mul_table[cur][a]
+        if good:
+            out.add(a)
+    return frozenset(out)

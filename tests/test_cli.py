@@ -5,9 +5,13 @@ import copy
 import hashlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -414,6 +418,101 @@ def test_carrier_verb_golden_digests(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# a q-congruence of each carrier below, for radical and nullcheck
+_THETAS = {
+    "str-chain:3": '{"classes": [["0"], ["1"], ["1v"], ["a", "av"], ["a2", "a2v"]]}',
+    "str-trunc:3": '{"classes": [["0"], ["1"], ["1v"], ["a"], ["av", "a2", "a2v"]]}',
+    "two-level-t": '{"classes": [["0"], ["1"], ["t"], ["1v"], ["a", "av"]]}',
+}
+
+# sha256 of the stdout of every other JSON verb on two 7-element chains
+# and a bundled carrier, so that a change to the lattice cache or to the
+# spectrum functions keeps the bytes; the last three are a radical that
+# prints {"classes": null} from each side and the JSON factorization
+JSON_VERB_GOLDENS = [
+    (["validate", "--semiring", "str-chain:3"],
+     "292d60a093b6ae4b4d7a7bcecc385ad6a9c46d9fe475ea69c7140b141a511d55"),
+    (["congs", "--semiring", "str-chain:3"],
+     "692a57a48e54be03b8777ac6c824fdb202157aad5f5349db67bbe635d39dafed"),
+    (["congs", "--semiring", "str-chain:3", "--kind", "NuPrime"],
+     "0a9258ac322b0b0cce3a08df35d231322af9bc2a8820733f73d7c4ca1a78329e"),
+    (["congs", "--semiring", "str-chain:3", "--kind", "MaximalL"],
+     "fc9c7565c537f6ac21d164da16a1f5603f6a81bb806118358a5fb48ac5a91b55"),
+    (["spec", "--semiring", "str-chain:3"],
+     "2a7c3a2eff726df6bb517b007a4e5a69ee24cc387f3be65f789228fb22bf518a"),
+    (["radical", "--semiring", "str-chain:3", "--elements", "a"],
+     "d1cb1b86f089447ec82ebef6119779b264775ebb84a4adc331719625b11f180d"),
+    (["radical", "--semiring", "str-chain:3", "--congruence", _THETAS["str-chain:3"]],
+     "d1cb1b86f089447ec82ebef6119779b264775ebb84a4adc331719625b11f180d"),
+    (["nullcheck", "--semiring", "str-chain:3"],
+     "c48003a57bd574eac4b0512d342ab22fea8fd28bf407f4546276515698292498"),
+    (["nullcheck", "--semiring", "str-chain:3", "--congruence", _THETAS["str-chain:3"]],
+     "7f4c2700436db3631ce007b7d28b24775d5067e78e5ce6026ffda32ccd003a39"),
+    (["krullcheck", "--semiring", "str-chain:3"],
+     "0812bcf19fcfd58af21a127d2daaa42fe071d921f67839b25b291f57d889e66a"),
+    (["sections", "--semiring", "str-chain:3", "--element", "a"],
+     "2fcb42e146317d410455b3f1e7d70397fd0f45fff02d4b233b5cf72e1f3aff96"),
+    (["validate", "--semiring", "str-trunc:3"],
+     "292d60a093b6ae4b4d7a7bcecc385ad6a9c46d9fe475ea69c7140b141a511d55"),
+    (["congs", "--semiring", "str-trunc:3"],
+     "cb67128cec99d589438ee485da1010222d9d8433b6fdeb7df0a936ec425aa7b6"),
+    (["congs", "--semiring", "str-trunc:3", "--kind", "NuPrime"],
+     "4012b2898a897531d0e1eef04208a9ae9d4042e48ff275cf9e799755caea993f"),
+    (["congs", "--semiring", "str-trunc:3", "--kind", "MaximalL"],
+     "fc9c7565c537f6ac21d164da16a1f5603f6a81bb806118358a5fb48ac5a91b55"),
+    (["spec", "--semiring", "str-trunc:3"],
+     "f01ca1a4b10a419d8d3d71d3ae481b3a2732d3c91e7cfa1df47ce57a23b1349e"),
+    (["radical", "--semiring", "str-trunc:3", "--elements", "a2"],
+     "d1cb1b86f089447ec82ebef6119779b264775ebb84a4adc331719625b11f180d"),
+    (["radical", "--semiring", "str-trunc:3", "--congruence", _THETAS["str-trunc:3"]],
+     "60c541accbf83da8c0e72d7f231cabbe56314b60069138a823ade0d5399c11f3"),
+    (["nullcheck", "--semiring", "str-trunc:3"],
+     "ffdb5921172c0088d669f5fc20a5247cf636c019fc688e1e9caaef7259255538"),
+    (["nullcheck", "--semiring", "str-trunc:3", "--congruence", _THETAS["str-trunc:3"]],
+     "7f4c2700436db3631ce007b7d28b24775d5067e78e5ce6026ffda32ccd003a39"),
+    (["krullcheck", "--semiring", "str-trunc:3"],
+     "0812bcf19fcfd58af21a127d2daaa42fe071d921f67839b25b291f57d889e66a"),
+    (["sections", "--semiring", "str-trunc:3", "--element", "a2"],
+     "8675e738eab4e7d679c358b56e3cef35435c6aefa5ac66527551cf6bdb1ed771"),
+    (["validate", "--semiring", "two-level-t"],
+     "292d60a093b6ae4b4d7a7bcecc385ad6a9c46d9fe475ea69c7140b141a511d55"),
+    (["congs", "--semiring", "two-level-t"],
+     "ee9336de36e5a7c4c9cb298cb68187bd8cc91f85e979a365d81cbf0fae8a13ef"),
+    (["congs", "--semiring", "two-level-t", "--kind", "NuPrime"],
+     "9d6b0957714c091ce763905ee8f8420cd73dfca3b63912595ac53e2ff84cdaf7"),
+    (["congs", "--semiring", "two-level-t", "--kind", "MaximalL"],
+     "bf427cf204be6b2105941a57301d0a88893a9acb99712117fbda94049aa3dc30"),
+    (["spec", "--semiring", "two-level-t"],
+     "e386ce963e5032d47ae8f2bd755100ecf6734d361e7d932fe3a898cd52f600d0"),
+    (["radical", "--semiring", "two-level-t", "--elements", "t"],
+     "a95cbbafd5fd071c125a139383afeb32b0ffcc8c4fdc9fdeca3300424f4d9912"),
+    (["radical", "--semiring", "two-level-t", "--congruence", _THETAS["two-level-t"]],
+     "a822d002b9a4129c189223ff71986777b45a8acdac7c40a793400848eef22c9b"),
+    (["nullcheck", "--semiring", "two-level-t"],
+     "7823377b939c58bf013ccd12d1710237d44dd5957bce5a7a5835cc36f35ed76e"),
+    (["nullcheck", "--semiring", "two-level-t", "--congruence", _THETAS["two-level-t"]],
+     "7692d2e11740aea05b7b64baefda86d71d6a274d9113695ee952928d671e2abb"),
+    (["krullcheck", "--semiring", "two-level-t"],
+     "0812bcf19fcfd58af21a127d2daaa42fe071d921f67839b25b291f57d889e66a"),
+    (["sections", "--semiring", "two-level-t", "--element", "t"],
+     "f6489866771da999aa99deba2483fa27c7e8e72deaebc4ac75e2befe86de3042"),
+    (["radical", "--semiring", "str-chain:3", "--elements", "1"],
+     "10c11922ae24a24a7df29855bcd84010edbdf93312d00cacef8ecb35df44497c"),
+    (["radical", "--semiring", "str-chain:3", "--congruence",
+      '{"classes": [["0", "1", "1v", "a", "av", "a2", "a2v"]]}'],
+     "10c11922ae24a24a7df29855bcd84010edbdf93312d00cacef8ecb35df44497c"),
+    (["factor", "--format", "json", "x^3 + 1*x^2 + 3*x + 2"],
+     "334f55090d7e2f79ff4424e419cd90c990642af9d69aa99ee5d57e2c01fc64b9"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", JSON_VERB_GOLDENS)
+def test_json_verb_golden_digests(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_quotient_and_localize_reject_invalid_carrier_exit_3(capsys):
     obj = json.loads(to_json(flat_idempotent()))
     obj["prudent"] = ["1"]  # t belongs to the maximal admissible set
@@ -510,6 +609,20 @@ def test_element_names_with_comma_or_line_break_exit_2(capsys, name):
         assert (code, out) == (2, ""), argv
         assert err.splitlines() == [
             f"parse error: element name {name!r} contains a comma or a line break"
+        ], argv
+
+
+@pytest.mark.parametrize("name", [" t", "t ", ""])
+def test_empty_or_padded_element_names_exit_2(capsys, name):
+    # a list item is stripped and dropped when empty, so such a name
+    # could be given to --element but never to --elements or --monoid
+    carrier = json.dumps(renamed(json.loads(to_json(flat_idempotent())), "t", name))
+    for argv in (["validate"], ["sections", "--element", name],
+                 ["radical", "--elements", name]):
+        code, out, err = run(capsys, *argv, "--semiring", carrier)
+        assert (code, out) == (2, ""), argv
+        assert err.splitlines() == [
+            f"parse error: element name {name!r} is empty or padded with whitespace"
         ], argv
 
 
@@ -856,7 +969,7 @@ _BASES = [
 _junk = st.text(alphabet='{}[]":,01abtv ', max_size=16).map("{".__add__)
 # names like the ones the quotient ("|") and localization ("/")
 # constructions build, and names the name rule rejects
-_RENAMES = ["a|av", "1|1v", "t,x", "t\nx", "1/t"]
+_RENAMES = ["a|av", "1|1v", "t,x", "t\nx", "1/t", " t", "t ", ""]
 
 
 @st.composite
@@ -937,3 +1050,26 @@ def test_carrier_verbs_never_raise(argv):
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert (code == 0) == bool(out.getvalue()), argv
     assert len(err.getvalue().splitlines()) == (code != 0), argv
+
+
+# -- packaging -----------------------------------------------------------
+
+
+def test_runtime_imports_only_the_standard_library():
+    # -S keeps site-packages .pth files, which may import third-party
+    # modules at start-up, out of the count
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import supertrop, supertrop.cli\n"
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(m for m in new\n"
+        "             if m != 'supertrop' and m not in sys.stdlib_module_names))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout == "[]\n"

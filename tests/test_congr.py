@@ -10,9 +10,9 @@ import pytest
 from supertrop.congr import (
     Congruence,
     DEFAULT_BOUND,
-    _all_congruences,
     _assemble_blocks,
     _flag_family,
+    _powers,
     _validate_cached,
     EMPTY_RADICAL,
     FLAG_DETERMINED,
@@ -30,6 +30,7 @@ from supertrop.congr import (
     builtin_semiring,
     check_q_homomorphism,
     classify,
+    computed_prudent,
     cong_closure,
     cong_from_json,
     cong_intersect,
@@ -76,6 +77,8 @@ from congr_oracles import (
     brute_congruences,
     eager_validate,
     fixpoint_closure,
+    loop_computed_prudent,
+    loop_powers_of,
     pairwise_localize_finite,
     partition_join,
     pruned_congruences,
@@ -264,6 +267,32 @@ def test_validate_matches_eager_oracle():
     assert failed_checks == set(validate(B).checked)
 
 
+def test_power_walk_matches_loop_oracles():
+    carriers = [R for _, R in bundled_suite()]
+    carriers += [str_chain(n) for n in range(1, 9)]
+    carriers += [str_trunc(n) for n in range(1, 9)]
+    rng = random.Random(0)
+    for seed in range(40):
+        R = random_semiring(seed)
+        perm = list(range(R.size))
+        rng.shuffle(perm)
+        carriers += [R, permute_semiring(R, perm)]
+    # the perturbed tables of test_validate_matches_eager_oracle: the
+    # same seed and the same base carriers draw the same edits
+    rng = random.Random(5)
+    bases = [R for _, R in bundled_suite()]
+    bases += [str_chain(n) for n in range(1, 5)]
+    bases += [str_trunc(n) for n in range(1, 5)]
+    carriers += [_perturbed(R, rng) for R in bases for _ in range(60)]
+    for R in carriers:
+        for a in range(R.size):
+            walk = _powers(R.mul_table, a)
+            assert R.powers_of(a) == walk == loop_powers_of(R, a), (R, a)
+        assert computed_prudent(R.mul_table, R.tangible) == loop_computed_prudent(
+            R.mul_table, R.tangible
+        ), R
+
+
 def test_prudence_on_flat_and_unit_carriers():
     F = flat_idempotent()
     assert names_of(F, F.prudent) == {"1", "t"}
@@ -406,7 +435,7 @@ def test_lattice_caches_are_bounded():
         )
         require_valid(copy)
         enumerate_congruences(copy)
-    for cache in (_all_congruences, _flag_family, _validate_cached):
+    for cache in (_flag_family, _validate_cached):
         assert cache.cache_info().currsize < 40
 
 

@@ -28,7 +28,7 @@ from supertrop.congr import (
     two_level,
     validate,
 )
-from supertrop.errors import ParseError, PreconditionError
+from supertrop.errors import PreconditionError
 from supertrop.spectra import (
     Spectrum,
     closure_of,
@@ -223,10 +223,6 @@ def test_prime_clusters_are_complementary():
 
 def test_spectrum_names_and_index():
     S = spec_of(TW)
-    assert S.names == ("p0", "p1", "p2", "p3", "p4")
-    assert S.index("p3") == 3
-    with pytest.raises(ParseError):
-        S.index("q1")
     assert S.index_of(S.points[2]) == 2
     foreign = ghostify(TW, [TW.index("1v")])
     with pytest.raises(PreconditionError):

@@ -567,11 +567,7 @@ def _basic_flags(R: FiniteNuSemiring, theta: Congruence) -> set[str]:
         if R.mul(a, b) in iG
     ):
         flags.add(FLAG_PRIME)
-    if q and all(
-        a in iG
-        for a in range(R.size)
-        if R.powers_of(a) & iG
-    ):
+    if q and ghostpotent_over(R, iG) <= iG:
         flags.add(FLAG_RADICAL)
     if all(
         set(members) <= R.tangible or set(members) <= R.ghost0
@@ -833,11 +829,14 @@ def srad(
     return crad(R, ghostify(R, elements), bound)
 
 
+def ghostpotent_over(R: FiniteNuSemiring, G: frozenset[int]) -> frozenset[int]:
+    """The elements some power of which lies in G."""
+    return frozenset(a for a in range(R.size) if R.powers_of(a) & G)
+
+
 def gprad(R: FiniteNuSemiring) -> frozenset[int]:
     """Ghostpotent elements: some power falls into the ghost ideal."""
-    return frozenset(
-        a for a in range(R.size) if R.powers_of(a) & R.ghost0
-    )
+    return ghostpotent_over(R, R.ghost0)
 
 
 def jac(

@@ -9,21 +9,24 @@ are a Galois pair whose closed sets form a closure system that is not
 union-stable (two primes may share a ghost cluster yet differ by a
 merge of tangibles, and only the congruence family separates them).
 Dimension counts chains of primes whose tangible clusters strictly
-shrink at every step.
+shrink at every step.  A Spectrum computes its inclusion order, its
+point index and its heights once, on first use.
 
 Sections over a basic open D(f) are computed by localizing at the
 monoid S(f) spanned by the prudent non-ghost-divisors h with
 D(f) <= D(h) together with the powers of f when f is prudent; the
 stalk at a point localizes at the point's tangible cluster.  The
-check functions at the bottom brute-force the radical-intersection
-statements and return small reports instead of raising.
+check functions at the bottom set radicals taken through the points
+against the ghostpotent elements, which need no point, and return
+small reports instead of raising.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from functools import cached_property
+from typing import Iterable, Optional, Union
 
 from .congr import (
     Congruence,
@@ -35,6 +38,7 @@ from .congr import (
     class_names,
     classify,
     cong_intersect,
+    ghostpotent_over,
     gprad,
     localize_finite,
     nu_primes,
@@ -49,17 +53,49 @@ class Spectrum:
 
     A point is known by its index into points, which index_of recovers
     from the congruence.  The list is enumeration-complete, so
-    membership tests against it are exact.
+    membership tests against it are exact.  The order, the index and
+    the heights are computed on first use and kept on the instance;
+    they take no part in equality or hashing.
     """
 
     carrier: FiniteNuSemiring
     points: tuple[Congruence, ...]
 
+    @cached_property
+    def _index(self) -> dict[tuple[int, ...], int]:
+        return {p.reps: i for i, p in enumerate(self.points)}
+
     def index_of(self, p: Congruence) -> int:
-        for i, q in enumerate(self.points):
-            if q.reps == p.reps:
-                return i
-        raise PreconditionError("congruence is not a point of this spectrum")
+        if p.reps not in self._index:
+            raise PreconditionError("congruence is not a point of this spectrum")
+        return self._index[p.reps]
+
+    @cached_property
+    def below(self) -> tuple[frozenset[int], ...]:
+        """For each point j, the points strictly inside it."""
+        return tuple(
+            frozenset(
+                i for i, p in enumerate(self.points) if i != j and p.refines(q)
+            )
+            for j, q in enumerate(self.points)
+        )
+
+    @cached_property
+    def heights(self) -> tuple[int, ...]:
+        """For each point j, the longest chain of points ending at j
+        whose tangible clusters strictly shrink at every step.
+
+        A point below another has fewer points below it, so taking the
+        points by the size of below finishes every step before its top.
+        """
+        points, below = self.points, self.below
+        heights = [0] * len(points)
+        for j in sorted(range(len(points)), key=lambda j: len(below[j])):
+            heights[j] = max(
+                (heights[i] + 1 for i in below[j] if points[j].iT < points[i].iT),
+                default=0,
+            )
+        return tuple(heights)
 
 
 @dataclass(frozen=True)
@@ -82,6 +118,21 @@ def spec(R: FiniteNuSemiring, bound: int = DEFAULT_BOUND) -> Spectrum:
     return Spectrum(R, nu_primes(R, bound))
 
 
+def _in_range(what: str, n: int, indices: Iterable[int]) -> frozenset[int]:
+    """The indices as a set, each checked to name one of n things."""
+    out = frozenset(indices)
+    for i in out:
+        if not (0 <= i < n):
+            raise PreconditionError(f"no {what} with index {i}")
+    return out
+
+
+def _own(S: Spectrum, Y: ZSet) -> ZSet:
+    if Y.spectrum != S:
+        raise PreconditionError("point set lives on another spectrum")
+    return Y
+
+
 def v_set(
     S: Spectrum, arg: Union[Congruence, Iterable[int]]
 ) -> ZSet:
@@ -92,7 +143,7 @@ def v_set(
             i for i, p in enumerate(S.points) if arg.refines(p)
         )
         return ZSet(S, members)
-    elements = frozenset(arg)
+    elements = _in_range("carrier element", S.carrier.size, arg)
     members = frozenset(
         i for i, p in enumerate(S.points) if elements <= p.iG
     )
@@ -107,6 +158,7 @@ def d_set(S: Spectrum, f: int) -> ZSet:
 def d_restricted(S: Spectrum, C: Iterable[int], f: int) -> ZSet:
     """Part of D(f) whose points keep all of C in the tangible cluster."""
     C = frozenset(C)
+    _in_range("carrier element", S.carrier.size, C | {f})
     members = frozenset(
         i
         for i, p in enumerate(S.points)
@@ -117,14 +169,8 @@ def d_restricted(S: Spectrum, C: Iterable[int], f: int) -> ZSet:
 
 def _member_indices(S: Spectrum, Y: Union[ZSet, Iterable[int]]) -> frozenset[int]:
     if isinstance(Y, ZSet):
-        if Y.spectrum is not S and Y.spectrum != S:
-            raise PreconditionError("point set lives on another spectrum")
-        return Y.members
-    members = frozenset(Y)
-    for i in members:
-        if not (0 <= i < len(S.points)):
-            raise PreconditionError(f"no spectrum point with index {i}")
-    return members
+        return _own(S, Y).members
+    return _in_range("spectrum point", len(S.points), Y)
 
 
 def i_of(S: Spectrum, Y: Union[ZSet, Iterable[int]]) -> Congruence:
@@ -182,59 +228,10 @@ def rcl(
 # -- dimension ----------------------------------------------------------
 
 
-def _strictly_below(points: Sequence[Congruence]) -> list[list[int]]:
-    """For each point j, the points i strictly included in it, ascending."""
-    return [
-        [
-            i
-            for i, p in enumerate(points)
-            if p.reps != q.reps and p.refines(q)
-        ]
-        for q in points
-    ]
-
-
-def _chain_edges(points: Sequence[Congruence]) -> list[list[int]]:
-    """Admissible chain steps: strict inclusion with strictly
-    shrinking tangible cluster."""
-    return [
-        [i for i in below if points[j].iT < points[i].iT]
-        for j, below in enumerate(_strictly_below(points))
-    ]
-
-
-def _longest_to(preds: list[list[int]]) -> list[int]:
-    n = len(preds)
-    memo: list[Optional[int]] = [None] * n
-
-    def walk(j: int) -> int:
-        if memo[j] is None:
-            memo[j] = max(
-                (walk(i) + 1 for i in preds[j]), default=0
-            )
-        return memo[j]
-
-    return [walk(j) for j in range(n)]
-
-
-def krull_dim(R: FiniteNuSemiring, bound: int = DEFAULT_BOUND) -> int:
+def krull_dim(S: Spectrum) -> int:
     """Longest chain of primes with strictly shrinking tangible
     clusters; -1 for an empty spectrum."""
-    points = nu_primes(R, bound)
-    if not points:
-        return -1
-    return max(_longest_to(_chain_edges(points)))
-
-
-def height(
-    R: FiniteNuSemiring, p: Congruence, bound: int = DEFAULT_BOUND
-) -> int:
-    """Longest admissible chain of primes ending at p."""
-    points = nu_primes(R, bound)
-    for j, q in enumerate(points):
-        if q.reps == p.reps:
-            return _longest_to(_chain_edges(points))[j]
-    raise PreconditionError("congruence is not a nu-prime of this carrier")
+    return max(S.heights, default=-1)
 
 
 # -- sections and stalks ------------------------------------------------
@@ -254,7 +251,12 @@ def _mult_closure(R: FiniteNuSemiring, gens: Iterable[int]) -> frozenset[int]:
     return frozenset(out)
 
 
-def _s_of_f(S: Spectrum, f: int) -> frozenset[int]:
+def s_of_f(S: Spectrum, f: int) -> frozenset[int]:
+    """The denominator monoid of the basic open D(f).
+
+    Spanned by the prudent non-ghost-divisors h whose D(h) covers
+    D(f), together with all powers of f when f itself is prudent.
+    """
     R = S.carrier
     d_f = d_set(S, f).members
     candidates = R.prudent - R.ghost_divisors()
@@ -264,20 +266,9 @@ def _s_of_f(S: Spectrum, f: int) -> frozenset[int]:
     return _mult_closure(R, base)
 
 
-def s_of_f(
-    R: FiniteNuSemiring, f: int, bound: int = DEFAULT_BOUND
-) -> frozenset[int]:
-    """The denominator monoid of the basic open D(f).
-
-    Spanned by the prudent non-ghost-divisors h whose D(h) covers
-    D(f), together with all powers of f when f itself is prudent.
-    """
-    return _s_of_f(spec(R, bound), f)
-
-
 def focal_zone(S: Spectrum, f: int) -> ZSet:
     """Points of D(f) whose tangible cluster swallows S(f)."""
-    return d_restricted(S, _s_of_f(S, f), f)
+    return d_restricted(S, s_of_f(S, f), f)
 
 
 def is_nu_strict(S: Spectrum, f: int) -> bool:
@@ -291,23 +282,21 @@ def sections(
     """Carrier of sections over a basic open D(f): the localization
     of the carrier at S(f)."""
     if isinstance(dset, ZSet):
-        if dset.source is None:
+        if _own(S, dset).source is None:
             raise PreconditionError(
                 "sections need an open set built from an element"
             )
         f = dset.source
     else:
         f = dset
-    C = _s_of_f(S, f)
+    C = s_of_f(S, f)
     return localize_finite(S.carrier, sorted(C))[0]
 
 
 def stalk(S: Spectrum, x: int) -> FiniteNuSemiring:
     """Localization of the carrier at the tangible cluster of point x."""
-    if not (0 <= x < len(S.points)):
-        raise PreconditionError(f"no spectrum point with index {x}")
-    p = S.points[x]
-    return localize_finite(S.carrier, sorted(p.iT))[0]
+    _member_indices(S, (x,))
+    return localize_finite(S.carrier, sorted(S.points[x].iT))[0]
 
 
 # -- check reports ------------------------------------------------------
@@ -344,18 +333,20 @@ def nullstellensatz_check(
     bound: int = DEFAULT_BOUND,
 ) -> CheckReport:
     """Element f has a ghost residue at every point over theta exactly
-    when f lies in the ghost cluster of crad(theta), the intersection
-    of the points over theta.
+    when some power of f lies in the ghost cluster of theta.
 
-    An empty V(theta) pairs with the empty radical: both sides then
-    hold for every element.
+    The right side reads theta alone, not the points.  Its direction
+    to the left holds by primality: a point over theta ghostifies f^k,
+    so it ghostifies f.  The direction from the left is the statement
+    the check tests.  With no point over theta the left side holds for
+    every element.
     """
     over = [p for p in nu_primes(R, bound) if theta.refines(p)]
-    ghost_side = cong_intersect(*over).iG if over else frozenset(range(R.size))
+    ghostpotent = ghostpotent_over(R, theta.iG)
     failures = []
     for f in range(R.size):
         lhs = all(f in p.iG for p in over)
-        rhs = f in ghost_side
+        rhs = f in ghostpotent
         if lhs != rhs:
             failures.append(
                 f"{R.names[f]}: ghost at all points is {lhs}, "
@@ -393,14 +384,13 @@ def krull_check(R: FiniteNuSemiring, bound: int = DEFAULT_BOUND) -> CheckReport:
 # -- serialization ------------------------------------------------------
 
 
-def _hasse_edges(points: Sequence[Congruence]) -> list[tuple[int, int]]:
-    below = _strictly_below(points)
-    edges = []
-    for j in range(len(points)):
-        for i in below[j]:
-            if not any(i in below[k] for k in below[j]):
-                edges.append((i, j))
-    return edges
+def _hasse_edges(S: Spectrum) -> list[tuple[int, int]]:
+    """The pairs (i, j) with i below j and no point between them."""
+    return [
+        (i, j)
+        for j, below in enumerate(S.below)
+        for i in below.difference(*(S.below[k] for k in below))
+    ]
 
 
 def spectrum_to_json(S: Spectrum, bound: int = DEFAULT_BOUND) -> str:
@@ -420,7 +410,7 @@ def spectrum_to_json(S: Spectrum, bound: int = DEFAULT_BOUND) -> str:
     return json.dumps(
         {
             "points": points,
-            "hasse": sorted(_hasse_edges(S.points)),
+            "hasse": sorted(_hasse_edges(S)),
         },
         sort_keys=True,
     )

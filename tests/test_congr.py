@@ -67,9 +67,7 @@ from supertrop.congr import (
 from supertrop.errors import BoundError, ParseError, PreconditionError
 from supertrop.spectra import (
     krull_check,
-    krull_dim,
     nullstellensatz_check,
-    s_of_f,
     spec,
 )
 
@@ -749,8 +747,6 @@ def test_quotient_and_localize_reject_invalid_carriers():
     for call in (
         lambda: enumerate_congruences(oversize),
         lambda: spec(oversize),
-        lambda: s_of_f(oversize, oversize.one),
-        lambda: krull_dim(oversize),
         lambda: krull_check(oversize),
         lambda: nullstellensatz_check(oversize, diagonal(oversize)),
     ):

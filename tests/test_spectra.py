@@ -2,12 +2,14 @@
 
 import itertools
 import json
+import random
 
 import pytest
 
+from supertrop import spectra
 from supertrop.congr import (
+    DEFAULT_BOUND,
     EMPTY_RADICAL,
-    FLAG_Q,
     FiniteNuSemiring,
     QHom,
     bundled_suite,
@@ -19,8 +21,10 @@ from supertrop.congr import (
     localize_finite,
     mixed_units,
     nu_primes,
+    permute_semiring,
     pullback,
     quotient,
+    random_semiring,
     srad,
     str_chain,
     str_trunc,
@@ -31,11 +35,11 @@ from supertrop.congr import (
 from supertrop.errors import PreconditionError
 from supertrop.spectra import (
     Spectrum,
+    _hasse_edges,
     closure_of,
     d_restricted,
     d_set,
     focal_zone,
-    height,
     i_of,
     irreducible,
     is_closed,
@@ -51,6 +55,8 @@ from supertrop.spectra import (
     stalk,
     v_set,
 )
+
+import spectra_oracles
 
 B = superboolean()
 CHAIN2 = str_chain(2)
@@ -101,6 +107,14 @@ def suite():
 
 def spec_of(R: FiniteNuSemiring) -> Spectrum:
     return spec(R)
+
+
+def corpus() -> list[FiniteNuSemiring]:
+    """The suite, str-chain and str-trunc 1-6, and random:0..39."""
+    out = [R for _, R in suite()]
+    out += [str_chain(n) for n in range(1, 7)]
+    out += [str_trunc(n) for n in range(1, 7)]
+    return out + [random_semiring(seed) for seed in range(40)]
 
 
 # -- independent point enumeration ---------------------------------------
@@ -258,7 +272,7 @@ def test_krull_dimensions():
         "twin-flats": 1,
     }
     for name, R in suite():
-        assert krull_dim(R) == expected[name], name
+        assert krull_dim(spec(R)) == expected[name], name
 
 
 def test_heights():
@@ -276,12 +290,12 @@ def test_heights():
     }
     for name, R in suite():
         S = spec_of(R)
-        assert [height(R, p) for p in S.points] == expected[name], name
+        assert list(S.heights) == expected[name], name
 
 
 def test_height_rejects_non_primes():
     with pytest.raises(PreconditionError):
-        height(CHAIN2, ghostify(CHAIN2, [CHAIN2.index("1v")]))
+        spec(CHAIN2).index_of(ghostify(CHAIN2, [CHAIN2.index("1v")]))
 
 
 def test_dimension_needs_strictly_shrinking_tangibles():
@@ -291,7 +305,7 @@ def test_dimension_needs_strictly_shrinking_tangibles():
     big, small = S.points[0], S.points[1]
     assert small.refines(big) and small.reps != big.reps
     assert small.iT == big.iT
-    assert krull_dim(CHAIN2) == 0
+    assert krull_dim(S) == 0
 
 
 def test_dimension_witness_on_flat():
@@ -301,7 +315,32 @@ def test_dimension_witness_on_flat():
     gh_t = S.points[1]
     assert diag.refines(gh_t)
     assert gh_t.iT < diag.iT
-    assert height(FLAT, gh_t) == 1
+    assert S.heights[S.index_of(gh_t)] == 1
+
+
+def test_order_matches_refines_oracles():
+    rng = random.Random(0)
+    carriers = []
+    for R in corpus():
+        perm = list(range(R.size))
+        rng.shuffle(perm)
+        carriers += [R, permute_semiring(R, perm)]
+    for R in carriers:
+        bound = max(R.size, DEFAULT_BOUND)
+        S = spec(R, bound)
+        fresh = spec(R, bound)
+        below = spectra_oracles._strictly_below(S.points)
+        assert [sorted(b) for b in S.below] == below, R
+        heights = [spectra_oracles.height(R, p, bound) for p in S.points]
+        assert list(S.heights) == heights, R
+        assert krull_dim(S) == max(heights, default=-1), R
+        assert sorted(_hasse_edges(S)) == sorted(
+            spectra_oracles._hasse_edges(S.points)
+        ), R
+        assert [S.index_of(p) for p in S.points] == list(range(len(S.points)))
+        # the cached order, index and heights stay out of == and hash
+        assert S == fresh and hash(S) == hash(fresh), R
+    assert krull_dim(Spectrum(B, ())) == -1
 
 
 # -- closed sets -----------------------------------------------------------
@@ -529,19 +568,19 @@ def test_irreducible_closed_sets_biject_with_points():
 
 def test_s_of_one_is_the_unit_group():
     for name, R in suite():
-        assert s_of_f(R, R.one) == R.units, name
+        assert s_of_f(spec(R), R.one) == R.units, name
 
 
 def test_s_of_f_goldens():
     s, t = TW.index("s"), TW.index("t")
-    assert s_of_f(TW, s) == {TW.one, s}
-    assert s_of_f(TW, t) == {TW.one, t}
-    assert s_of_f(TW, TW.index("1v")) == {TW.one}
+    assert s_of_f(spec(TW), s) == {TW.one, s}
+    assert s_of_f(spec(TW), t) == {TW.one, t}
+    assert s_of_f(spec(TW), TW.index("1v")) == {TW.one}
     F = FLAT
-    assert s_of_f(F, F.index("t")) == {F.one, F.index("t")}
+    assert s_of_f(spec(F), F.index("t")) == {F.one, F.index("t")}
     M = mixed_units()
-    assert s_of_f(M, M.index("u")) == M.units
-    assert s_of_f(M, M.index("t")) == {M.one, M.index("u"), M.index("t")}
+    assert s_of_f(spec(M), M.index("u")) == M.units
+    assert s_of_f(spec(M), M.index("t")) == {M.one, M.index("u"), M.index("t")}
 
 
 def test_s_of_ghostpotent_is_all_safe_denominators():
@@ -550,8 +589,8 @@ def test_s_of_ghostpotent_is_all_safe_denominators():
     a = CHAIN2.index("a")
     S = spec_of(CHAIN2)
     assert d_set(S, a).members == set()
-    assert s_of_f(CHAIN2, a) == {CHAIN2.one}
-    assert s_of_f(CHAIN2, a) == CHAIN2.prudent - CHAIN2.ghost_divisors()
+    assert s_of_f(S, a) == {CHAIN2.one}
+    assert s_of_f(S, a) == CHAIN2.prudent - CHAIN2.ghost_divisors()
 
 
 def test_focal_zone_fills_basic_opens():
@@ -616,6 +655,40 @@ def test_stalk_goldens():
         assert find_isomorphism(stalk(S, x), B) is not None
     with pytest.raises(PreconditionError):
         stalk(S, 5)
+
+
+def test_out_of_range_and_foreign_inputs_are_rejected():
+    S = spec_of(FLAT)
+    t = FLAT.index("t")
+    for index in (99, -1):
+        for call in (
+            lambda: v_set(S, [t, index]),
+            lambda: d_set(S, index),
+            lambda: d_restricted(S, [index], t),
+            lambda: d_restricted(S, [t], index),
+            lambda: s_of_f(S, index),
+            lambda: focal_zone(S, index),
+            lambda: is_nu_strict(S, index),
+            lambda: sections(S, index),
+        ):
+            with pytest.raises(PreconditionError) as exc:
+                call()
+            assert str(exc.value) == f"no carrier element with index {index}"
+        for call in (
+            lambda: stalk(S, index),
+            lambda: i_of(S, [0, index]),
+            lambda: is_closed(S, [index]),
+        ):
+            with pytest.raises(PreconditionError) as exc:
+                call()
+            assert str(exc.value) == f"no spectrum point with index {index}"
+    M = mixed_units()
+    foreign = d_set(spec(M), M.index("t"))
+    with pytest.raises(PreconditionError) as exc:
+        sections(S, foreign)
+    assert str(exc.value) == "point set lives on another spectrum"
+    # a fresh spectrum of the same carrier is the same spectrum
+    assert sections(spec(FLAT), d_set(S, t)).names == sections(S, t).names
 
 
 def test_stalk_with_collision_denominators():
@@ -726,15 +799,28 @@ def test_quotient_spectrum_matches_closed_set():
 
 
 def test_nullstellensatz_check_passes_on_suite():
-    for name, R in suite():
-        if R.size > 5:
-            qs = list(spec_of(R).points)
-        else:
-            qs = list(enumerate_congruences(R, kind=FLAG_Q))
-        for theta in qs:
-            report = nullstellensatz_check(R, theta)
-            assert report.passed, (name, theta.reps, report.failures)
+    for R in corpus():
+        bound = max(R.size, DEFAULT_BOUND)
+        for theta in enumerate_congruences(R, bound):
+            report = nullstellensatz_check(R, theta, bound)
+            assert report.passed, (R.names, theta.reps, report.failures)
             assert report.checked == R.size
+
+
+def test_nullstellensatz_check_can_fail(monkeypatch):
+    # the right side reads theta alone: with theta's own point gone no
+    # point lies over it, so 1 reads ghost at every point, yet no
+    # power of 1 is ghost in theta
+    S = spec_of(FLAT)
+    theta = S.points[1]
+    monkeypatch.setattr(
+        spectra, "nu_primes", lambda R, bound: (S.points[0], S.points[2])
+    )
+    report = nullstellensatz_check(FLAT, theta)
+    assert not report.passed
+    assert report.failures == (
+        "1: ghost at all points is True, in radical ghost cluster is False",
+    )
 
 
 def test_krull_check_passes_on_suite():

@@ -13,11 +13,13 @@ q-congruences keep every unit's class tangible, the l-congruences have
 a multiplicatively closed iT, and the nu-primes additionally forbid
 ghost products of non-ghost factors.
 
-The full congruence lattice (radicals, maximality flags, spectra) is
-built from the principal congruences Cg(a, b), each a worklist closure
-over union-find, closed under joins.  Its cost grows with the number of
-congruences rather than with the number of set partitions; it stays
-exact and is still gated by a size bound.
+The full congruence lattice (maximality flags, the Jacobson radical,
+spectra) is built from the principal congruences Cg(a, b), each a
+worklist closure over union-find, closed under joins.  Its cost grows
+with the number of congruences rather than with the number of set
+partitions; it stays exact and is still gated by a size bound.  The
+nu-radicals need no lattice: each is a closure that ghostifies
+ghostpotent elements until none is left.
 """
 
 from __future__ import annotations
@@ -631,15 +633,24 @@ def enumerate_congruences(
     bound: int = DEFAULT_BOUND,
     kind: Optional[str] = None,
 ) -> tuple[Congruence, ...]:
-    """All congruences, optionally filtered by a classifier flag.  The
-    size bound is checked before validity, which cong_closure needs: it
-    translates pairs on the right only."""
+    """All congruences, optionally filtered by a classifier flag."""
+    _require_within(R, bound)
+    return _flag_family(R).get(kind, ())
+
+
+def _require_within(R: FiniteNuSemiring, bound: int) -> None:
+    """The size bound, checked before validity, which cong_closure
+    needs: it translates pairs on the right only."""
     if R.size > bound:
         raise BoundError(
             f"carrier has {R.size} elements, enumeration bound is {bound}"
         )
     require_valid(R)
-    return _flag_family(R).get(kind, ())
+
+
+def _require_on(R: FiniteNuSemiring, theta: Congruence) -> None:
+    if theta.semiring is not R and theta.semiring != R:
+        raise PreconditionError("congruence lives on the wrong carrier")
 
 
 # -- quotients and localizations ----------------------------------------
@@ -789,8 +800,10 @@ def localize_finite(
 # -- radicals -----------------------------------------------------------
 
 
-# what crad, srad and jac return when no member of their family
-# contains theta: the radical over an empty family
+# what crad and srad return when a unit's class leaves the tangible
+# cluster, the same as no nu-prime containing theta (crad proves one
+# direction, the tests check the other); and what jac returns when no
+# maximal l-congruence contains theta
 EMPTY_RADICAL = None
 
 
@@ -800,23 +813,49 @@ def nu_primes(
     return enumerate_congruences(R, bound, FLAG_PRIME)
 
 
-def _meet_above(
-    theta: Congruence, family: Iterable[Congruence]
-) -> Optional[Congruence]:
-    """Intersection of the members of family containing theta; None if
-    none does."""
-    containing = [c for c in family if theta.refines(c)]
-    return cong_intersect(*containing) if containing else None
-
-
 def crad(
     R: FiniteNuSemiring,
     theta: Congruence,
     bound: int = DEFAULT_BOUND,
 ) -> Optional[Congruence]:
-    """Intersection of the nu-primes containing theta; None when no
-    nu-prime contains theta."""
-    return _meet_above(theta, nu_primes(R, bound))
+    """Radical of theta: the least radical q-congruence above it, or
+    None when a unit's class leaves the tangible cluster on the way.
+
+    The closure joins theta with ghostify of the elements that have a
+    power in iG(theta) but are not in it, until none is left, which is
+    exactly when theta carries the Radical flag.  iT only shrinks as
+    theta grows, so once a unit leaves it no later step brings it back.
+    The size bound is only a gate here: no lattice is built.
+
+    The classical relation is that this is the meet of the nu-primes
+    containing theta.  Half of it is proved.  Let P be a q-congruence
+    over the current theta whose ghost cluster holds every element with
+    a power in it: a radical one, or a nu-prime, whose iG is a prime
+    ideal.  An element with a power in iG(theta), a subset of iG(P),
+    lies in iG(P); ghostify of such elements is below P, and so is its
+    join with theta.  Hence the result is below every such P, so it is
+    the least radical q-congruence over theta and lies below the meet
+    of the primes over theta.  If a unit leaves iT(theta), it leaves
+    iT(P) too, since iT only shrinks; so no such P contains theta, and
+    the meet of the primes is None as well.
+
+    The converse is not proved.  In R/rad(theta) the ghost cluster is a
+    radical monoid ideal, so for x outside it an ideal maximal among
+    those containing it and avoiding the powers of x is prime (Grillet,
+    Commutative Semigroups, 2001).  But ghostify of that ideal may
+    ghost further elements through addition, and a prime must also
+    keep apart the non-ghost pairs that rad(theta) keeps apart, so the
+    argument does not yield a nu-prime.  The converse, None included,
+    is checked against the meet of the primes on the test corpora.
+    """
+    _require_on(R, theta)
+    _require_within(R, bound)
+    while R.units <= theta.iT:
+        grown = ghostpotent_over(R, theta.iG) - theta.iG
+        if not grown:
+            return theta
+        theta = Congruence(R, _join(theta.reps, ghostify(R, grown).reps))
+    return EMPTY_RADICAL
 
 
 def srad(
@@ -825,7 +864,7 @@ def srad(
     bound: int = DEFAULT_BOUND,
 ) -> Optional[Congruence]:
     """Radical of a ghostified element set: crad of ghostify(R,
-    elements), so None when no nu-prime contains that congruence."""
+    elements)."""
     return crad(R, ghostify(R, elements), bound)
 
 
@@ -846,7 +885,12 @@ def jac(
 ) -> Optional[Congruence]:
     """Intersection of the maximal l-congruences containing theta; None
     when no maximal l-congruence contains theta."""
-    return _meet_above(theta, enumerate_congruences(R, bound, FLAG_MAXIMAL_L))
+    containing = [
+        c
+        for c in enumerate_congruences(R, bound, FLAG_MAXIMAL_L)
+        if theta.refines(c)
+    ]
+    return cong_intersect(*containing) if containing else EMPTY_RADICAL
 
 
 # -- homomorphisms ------------------------------------------------------
@@ -886,8 +930,7 @@ def check_q_homomorphism(phi: QHom) -> Optional[str]:
 
 def pullback(phi: QHom, theta: Congruence) -> Congruence:
     """Congruence on the source identifying a, b when phi(a) = phi(b) mod theta."""
-    if theta.semiring is not phi.dst and theta.semiring != phi.dst:
-        raise PreconditionError("congruence lives on the wrong carrier")
+    _require_on(phi.dst, theta)
     witness = check_q_homomorphism(phi)
     if witness is not None:
         raise PreconditionError(f"not a q-homomorphism: {witness}")

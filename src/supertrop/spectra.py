@@ -16,8 +16,8 @@ Sections over a basic open D(f) are computed by localizing at the
 monoid S(f) spanned by the prudent non-ghost-divisors h with
 D(f) <= D(h) together with the powers of f when f is prudent; the
 stalk at a point localizes at the point's tangible cluster.  The
-check functions at the bottom set radicals taken through the points
-against the ghostpotent elements, which need no point, and return
+check functions at the bottom set the points against what needs no
+point (the radical closure and the ghostpotent elements) and return
 small reports instead of raising.
 """
 
@@ -34,6 +34,7 @@ from .congr import (
     FLAG_PRIME,
     FiniteNuSemiring,
     _basic_flags,
+    _require_on,
     all_pairs,
     class_names,
     classify,
@@ -66,6 +67,7 @@ class Spectrum:
         return {p.reps: i for i, p in enumerate(self.points)}
 
     def index_of(self, p: Congruence) -> int:
+        _require_on(self.carrier, p)
         if p.reps not in self._index:
             raise PreconditionError("congruence is not a point of this spectrum")
         return self._index[p.reps]
@@ -139,6 +141,7 @@ def v_set(
     """Closed set of the primes containing a congruence or ghostifying
     a subset of elements."""
     if isinstance(arg, Congruence):
+        _require_on(S.carrier, arg)
         members = frozenset(
             i for i, p in enumerate(S.points) if arg.refines(p)
         )
@@ -341,6 +344,7 @@ def nullstellensatz_check(
     the check tests.  With no point over theta the left side holds for
     every element.
     """
+    _require_on(R, theta)
     over = [p for p in nu_primes(R, bound) if theta.refines(p)]
     ghostpotent = ghostpotent_over(R, theta.iG)
     failures = []
@@ -358,26 +362,26 @@ def nullstellensatz_check(
 
 
 def krull_check(R: FiniteNuSemiring, bound: int = DEFAULT_BOUND) -> CheckReport:
-    """The ghostpotent radical agrees with the s-radicals of the empty
-    set and of the ghosts, with the intersection of all primes, and
-    its ghost cluster collects exactly the ghostpotents."""
+    """The radical of the diagonal, computed by closure, against the
+    points: it is their intersection, there are no points exactly when
+    it is None, and its ghost cluster and the points' common ghost
+    cluster both collect exactly the ghostpotents."""
     points = nu_primes(R, bound)
-    rad_empty = srad(R, (), bound)
-    rad_ghost = srad(R, R.ghost0, bound)
-    rad_gp = srad(R, gprad(R), bound)
+    rad = srad(R, (), bound)
+    ghostpotent = gprad(R)
     failures = []
-    if rad_empty != rad_ghost:
-        failures.append("srad of empty set differs from srad of ghosts")
-    if rad_empty != rad_gp:
-        failures.append("srad of empty set differs from srad of ghostpotents")
     if points:
-        if rad_empty != cong_intersect(*points):
+        if rad != cong_intersect(*points):
             failures.append("srad of empty set differs from prime intersection")
-        cluster = frozenset(range(R.size)) if rad_empty is None else rad_empty.iG
-        if cluster != gprad(R):
-            failures.append("radical ghost cluster misses the ghostpotents")
-    elif rad_empty is not None:
-        failures.append("no primes yet a nonempty radical")
+        if frozenset.intersection(*(p.iG for p in points)) != ghostpotent:
+            failures.append("prime ghost clusters meet off the ghostpotents")
+    if (rad is None) != (not points):
+        failures.append(
+            "primes yet an empty radical" if points
+            else "no primes yet a nonempty radical"
+        )
+    if rad is not None and rad.iG != ghostpotent:
+        failures.append("radical ghost cluster misses the ghostpotents")
     return CheckReport("krull", not failures, 4, tuple(failures))
 
 

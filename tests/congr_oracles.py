@@ -11,12 +11,18 @@ pairs, its former find_isomorphism, which scanned the permutations
 within groups of same-profile elements, and the two power walks that
 FiniteNuSemiring.powers_of and computed_prudent each ran on their own.
 They are kept verbatim as differential references.
+
+meet_crad is the library's former crad, the meet of the nu-primes over
+a congruence.  Unlike the others it reads the library's lattice through
+nu_primes; it is the reference for the closure radical.
 """
 
 import itertools
 from typing import Iterable, Optional
 
 from supertrop.congr import (
+    DEFAULT_BOUND,
+    Congruence,
     FiniteNuSemiring,
     QHom,
     ValidationReport,
@@ -25,6 +31,8 @@ from supertrop.congr import (
     _union,
     check_q_homomorphism,
     computed_prudent,
+    cong_intersect,
+    nu_primes,
     validate,
 )
 from supertrop.errors import PreconditionError
@@ -478,3 +486,14 @@ def loop_computed_prudent(mul_table, tangible: frozenset[int]) -> frozenset[int]
         if good:
             out.add(a)
     return frozenset(out)
+
+
+def meet_crad(
+    R: FiniteNuSemiring,
+    theta: Congruence,
+    bound: int = DEFAULT_BOUND,
+) -> Optional[Congruence]:
+    """Intersection of the nu-primes containing theta; None when no
+    nu-prime contains theta."""
+    containing = [c for c in nu_primes(R, bound) if theta.refines(c)]
+    return cong_intersect(*containing) if containing else None

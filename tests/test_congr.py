@@ -1,5 +1,6 @@
 """Finite carriers, their validation, and the congruence toolkit."""
 
+import collections
 import itertools
 import json
 import random
@@ -7,6 +8,7 @@ import time
 
 import pytest
 
+from supertrop import congr
 from supertrop.congr import (
     Congruence,
     DEFAULT_BOUND,
@@ -68,15 +70,18 @@ from supertrop.errors import BoundError, ParseError, PreconditionError
 from supertrop.spectra import (
     krull_check,
     nullstellensatz_check,
+    rcl,
     spec,
 )
 
+from carrier_corpus import wide_corpus
 from congr_oracles import (
     brute_congruences,
     eager_validate,
     fixpoint_closure,
     loop_computed_prudent,
     loop_powers_of,
+    meet_crad,
     pairwise_localize_finite,
     partition_join,
     pruned_congruences,
@@ -810,6 +815,83 @@ def test_radical_congruences_are_radical():
         if rad is EMPTY_RADICAL:
             continue
         assert FLAG_RADICAL in classify(R, rad)
+
+
+def test_wide_corpus_classes():
+    corpus = wide_corpus()
+    assert len(corpus) == 49
+    assert sorted(collections.Counter(R.size for R in corpus).items()) == [
+        (3, 1), (4, 3), (5, 5), (6, 7), (7, 8), (8, 9), (9, 9), (10, 5),
+        (11, 2),
+    ]
+
+
+def square_root_of_idempotent() -> FiniteNuSemiring:
+    """{0, 1, x, t, 1v} with x * x = t idempotent.  Ghostifying t leaves
+    x tangible although x * x is ghost: the radical must ghostify the
+    elements ghostpotent over the ghost cluster, not just over the
+    ghosts, which no wide-corpus carrier tells apart."""
+    return _assemble_blocks(
+        [("1", "x", "t")],
+        ("1v",),
+        {
+            ("1", "1"): "1",
+            ("1", "x"): "x",
+            ("1", "t"): "t",
+            ("x", "x"): "t",
+            ("x", "t"): "t",
+            ("t", "t"): "t",
+        },
+    )
+
+
+def test_crad_is_the_meet_of_primes():
+    # the closure against the former definition, None included; on the
+    # q-congruences the Radical flag marks exactly the closure's fixed
+    # points
+    rng = random.Random(21)
+    base = [*wide_corpus(), square_root_of_idempotent()]
+    carriers = list(base)
+    for R in base:
+        perm = list(range(R.size))
+        rng.shuffle(perm)
+        carriers.append(permute_semiring(R, perm))
+    carriers += [build(n) for n in range(1, 7) for build in (str_chain, str_trunc)]
+    checked = fixed = 0
+    for R in carriers:
+        bound = max(R.size, DEFAULT_BOUND)
+        radical = {c.reps for c in enumerate_congruences(R, bound, FLAG_RADICAL)}
+        q_congs = {c.reps for c in enumerate_congruences(R, bound, FLAG_Q)}
+        for theta in enumerate_congruences(R, bound):
+            rad = crad(R, theta, bound)
+            assert rad == meet_crad(R, theta, bound), (R.names, theta.reps)
+            if theta.reps in q_congs:
+                assert (theta.reps in radical) == (rad == theta), theta.reps
+                fixed += rad == theta
+            checked += 1
+    assert checked > 3000 and fixed > 300
+
+
+def test_radicals_never_build_the_lattice(monkeypatch):
+    carriers = [(R, R.size) for R in wide_corpus()] + [(str_chain(12), 25)]
+
+    def no_lattice(R):
+        raise AssertionError("a radical built the congruence lattice")
+
+    _flag_family.cache_clear()
+    monkeypatch.setattr(congr, "_all_congruences", no_lattice)
+    for R, bound in carriers:
+        rad = srad(R, (), bound)
+        assert rad.iG == gprad(R), R.names
+        assert FLAG_RADICAL in classify(R, rad, 0)
+        assert crad(R, diagonal(R), bound) == rad
+        for a in range(R.size):
+            rad_a = srad(R, [a], bound)
+            assert rcl(R, [a], bound) == (
+                frozenset() if rad_a is EMPTY_RADICAL else rad_a.iG
+            )
+    with pytest.raises(AssertionError):
+        enumerate_congruences(str_chain(12), 25)
 
 
 # -- homomorphisms ---------------------------------------------------------

@@ -13,6 +13,8 @@ from supertrop.congr import (
     FiniteNuSemiring,
     QHom,
     bundled_suite,
+    crad,
+    diagonal,
     enumerate_congruences,
     find_isomorphism,
     flat_idempotent,
@@ -30,6 +32,7 @@ from supertrop.congr import (
     str_trunc,
     superboolean,
     two_level,
+    unit_pair,
     validate,
 )
 from supertrop.errors import PreconditionError
@@ -57,6 +60,7 @@ from supertrop.spectra import (
 )
 
 import spectra_oracles
+from carrier_corpus import wide_corpus
 
 B = superboolean()
 CHAIN2 = str_chain(2)
@@ -827,6 +831,35 @@ def test_krull_check_passes_on_suite():
     for name, R in suite():
         report = krull_check(R)
         assert report.passed, (name, report.failures)
+    for R in wide_corpus():
+        report = krull_check(R, R.size)
+        assert report.passed, (R.names, report.failures)
+
+
+def test_krull_check_can_fail(monkeypatch):
+    # the closure radical of str-chain:2 is the meet of both points;
+    # without the second point the meet is larger
+    S = spec_of(CHAIN2)
+    monkeypatch.setattr(spectra, "nu_primes", lambda R, bound: S.points[:1])
+    report = krull_check(CHAIN2)
+    assert (report.passed, report.checked) == (False, 4)
+    assert report.failures == ("srad of empty set differs from prime intersection",)
+    monkeypatch.setattr(spectra, "nu_primes", lambda R, bound: ())
+    assert krull_check(CHAIN2).failures == ("no primes yet a nonempty radical",)
+
+
+def test_foreign_congruences_are_rejected():
+    S = spec_of(FLAT)
+    for call in (
+        lambda: v_set(S, diagonal(unit_pair())),
+        lambda: S.index_of(spec(unit_pair()).points[0]),
+        lambda: crad(FLAT, diagonal(unit_pair())),
+        lambda: crad(FLAT, diagonal(str_chain(2))),
+        lambda: nullstellensatz_check(FLAT, diagonal(unit_pair())),
+    ):
+        with pytest.raises(PreconditionError) as exc:
+            call()
+        assert str(exc.value) == "congruence lives on the wrong carrier"
 
 
 def test_check_report_json():

@@ -49,7 +49,8 @@ from .errors import BoundError, ParseError, PreconditionError
 DEFAULT_BOUND = 7
 # longest chain that builtin_semiring builds for "str-chain:N" and
 # "str-trunc:N"; building and validating the carrier costs O(N^3), and
-# N = 32 (65 elements) takes well under a second
+# N = 32 (65 elements) takes about 0.1 s to build and 0.1 s to validate
+# (a 2-core x86-64 Linux VM, Python 3.11)
 MAX_CHAIN = 32
 # entries kept per carrier-keyed cache; carriers come and go in a
 # long-lived process, so the caches must not grow without limit
@@ -129,14 +130,12 @@ class FiniteNuSemiring:
     @cached_property
     def ghost0(self) -> frozenset[int]:
         """Fixed points of nu: the ghost ideal together with zero."""
-        return frozenset(a for a in range(self.size) if self.nu(a) == a)
+        return frozenset(a for a, v in enumerate(self.nu_table) if v == a)
 
     @cached_property
     def units(self) -> frozenset[int]:
         return frozenset(
-            a
-            for a in range(self.size)
-            if any(self.mul(a, b) == self.one for b in range(self.size))
+            a for a, row in enumerate(self.mul_table) if self.one in row
         )
 
     def ghost_divisors(self) -> frozenset[int]:
@@ -221,12 +220,25 @@ def validate(R: FiniteNuSemiring) -> ValidationReport:
     """Run the axiom battery; report the first counterexample per check.
 
     Each check is a generator of failing witnesses, so a witness string
-    is formatted only for a failure.
+    is formatted only for a failure.  The checks read the tables, not
+    the element methods.
+
+    The cubic checks gate each row a, as in Light's associativity test
+    for Cayley tables: one comparison of two lists of tuples tests
+    (a . b) . c = a . (b . c), or a * (b + c) = a * b + a * c, for
+    every b and c at once.  Only a row that fails the gate is scanned
+    entry by entry, in the order of the plain triple loop.  A row that
+    passes has no counterexample, so every witness, and the whole
+    report, is the triple loop's.  The gate may flag a row that has
+    none (list rows never equal tuple rows); that costs time, not a
+    witness.
     """
     n = R.size
     rng = range(n)
     nm = R.names
-    add, mul, nu = R.add, R.mul, R.nu
+    A, M, N = R.add_table, R.mul_table, R.nu_table
+    zero, one, e = R.zero, R.one, R.e
+    tan, g0 = R.tangible, R.ghost0
     failures: list[tuple[str, str]] = []
     checked: list[str] = []
 
@@ -236,86 +248,92 @@ def validate(R: FiniteNuSemiring) -> ValidationReport:
         if witness is not None:
             failures.append((name, witness))
 
+    def associative(T: Sequence[Sequence[int]], op: str) -> Iterable[str]:
+        for a, Ta in enumerate(T):
+            if [T[x] for x in Ta] != [tuple(map(Ta.__getitem__, Tb)) for Tb in T]:
+                yield from (
+                    f"({nm[a]} {op} {nm[b]}) {op} {nm[c]}"
+                    for b in rng for c in rng if T[Ta[b]][c] != Ta[T[b][c]]
+                )
+
+    def distributive() -> Iterable[str]:
+        for a, Ma in enumerate(M):
+            if [tuple(map(Ma.__getitem__, Ab)) for Ab in A] != [
+                tuple(map(A[x].__getitem__, Ma)) for x in Ma
+            ]:
+                yield from (
+                    f"{nm[a]} * ({nm[b]} + {nm[c]})"
+                    for b in rng for c in rng
+                    if Ma[A[b][c]] != A[Ma[b]][Ma[c]]
+                )
+
     check("add-commutative", (
         f"{nm[a]} + {nm[b]}"
-        for a in rng for b in rng if add(a, b) != add(b, a)
+        for a in rng for b in rng if A[a][b] != A[b][a]
     ))
-    check("add-associative", (
-        f"({nm[a]} + {nm[b]}) + {nm[c]}"
-        for a in rng for b in rng for c in rng
-        if add(add(a, b), c) != add(a, add(b, c))
-    ))
+    check("add-associative", associative(A, "+"))
     check("add-identity", (
-        f"{nm[a]} + 0" for a in rng if add(a, R.zero) != a
+        f"{nm[a]} + 0" for a in rng if A[a][zero] != a
     ))
     check("mul-commutative", (
         f"{nm[a]} * {nm[b]}"
-        for a in rng for b in rng if mul(a, b) != mul(b, a)
+        for a in rng for b in rng if M[a][b] != M[b][a]
     ))
-    check("mul-associative", (
-        f"({nm[a]} * {nm[b]}) * {nm[c]}"
-        for a in rng for b in rng for c in rng
-        if mul(mul(a, b), c) != mul(a, mul(b, c))
-    ))
+    check("mul-associative", associative(M, "*"))
     check("mul-identity", (
-        f"{nm[a]} * 1" for a in rng if mul(a, R.one) != a
+        f"{nm[a]} * 1" for a in rng if M[a][one] != a
     ))
     check("mul-zero", (
-        f"{nm[a]} * 0" for a in rng if mul(a, R.zero) != R.zero
+        f"{nm[a]} * 0" for a in rng if M[a][zero] != zero
     ))
-    check("distributive", (
-        f"{nm[a]} * ({nm[b]} + {nm[c]})"
-        for a in rng for b in rng for c in rng
-        if mul(a, add(b, c)) != add(mul(a, b), mul(a, c))
-    ))
+    check("distributive", distributive())
     check("nu-is-e-multiple", (
-        f"nu({nm[a]})" for a in rng if nu(a) != mul(R.e, a)
+        f"nu({nm[a]})" for a in rng if N[a] != M[e][a]
     ))
     check("nu-idempotent", (
-        f"nu(nu({nm[a]}))" for a in rng if nu(nu(a)) != nu(a)
+        f"nu(nu({nm[a]}))" for a in rng if N[N[a]] != N[a]
     ))
     check("nu-kernel-trivial", (
-        f"nu({nm[a]}) = 0" for a in rng if nu(a) == R.zero and a != R.zero
+        f"nu({nm[a]}) = 0" for a in rng if N[a] == zero and a != zero
     ))
     check("tangible-partition", (
         witness
         for witness, bad in (
-            ("zero tangible", R.zero in R.tangible),
-            ("one not tangible", R.one not in R.tangible),
-            ("tangible meets ghost", bool(R.tangible & R.ghost0)),
+            ("zero tangible", zero in tan),
+            ("one not tangible", one not in tan),
+            ("tangible meets ghost", bool(tan & g0)),
         )
         if bad
     ))
     check("ghost-ideal", (
         f"{nm[a]} * {nm[g]}"
-        for a in rng for g in R.ghost0 if mul(a, g) not in R.ghost0
+        for a in rng for g in g0 if M[a][g] not in g0
     ))
     check("nu-order-total", (
         f"nu({nm[a]}) + nu({nm[b]})"
-        for a in rng for b in rng
-        if add(nu(a), nu(b)) not in (nu(a), nu(b))
+        for a, na in enumerate(N) for b, nb in enumerate(N)
+        if A[na][nb] not in (na, nb)
     ))
     check("nm-dominance", (
         f"{nm[a]} + {nm[b]}"
-        for a in rng for b in rng
-        if nu(a) != nu(b) and add(nu(a), nu(b)) == nu(a) and add(a, b) != a
+        for a, na in enumerate(N) for b, nb in enumerate(N)
+        if na != nb and A[na][nb] == na and A[a][b] != a
     ))
     check("nm-tie", (
         f"{nm[a]} + {nm[b]}"
-        for a in rng for b in rng
-        if nu(a) == nu(b) and add(a, b) != nu(a)
+        for a, na in enumerate(N) for b, nb in enumerate(N)
+        if na == nb and A[a][b] != na
     ))
     check("nm-zero", (
         f"{nm[a]} + {nm[b]}"
-        for a in rng for b in rng
-        if nu(a) == R.zero and add(a, b) != b
+        for a in rng if N[a] == zero for b in rng if A[a][b] != b
     ))
     check("prudent-powers", (
         f"{nm[a]}^k" for a in R.prudent if not R.powers_of(a) <= R.prudent
     ))
     check("prudent-maximal", (
         ["prudent differs from the maximal admissible set"]
-        if R.prudent != computed_prudent(R.mul_table, R.tangible)
+        if R.prudent != computed_prudent(M, tan)
         else []
     ))
     check("units-prudent", (
@@ -323,17 +341,15 @@ def validate(R: FiniteNuSemiring) -> ValidationReport:
     ))
     check("tangible-sum-stability", (
         f"{nm[a]} + nu({nm[b]})"
-        for a in rng for b in rng
-        if add(a, b) in R.tangible and add(a, b) not in (a, b)
-        and add(a, nu(b)) in R.ghost0
+        for a, Aa in enumerate(A) for b, s in enumerate(Aa)
+        if s in tan and s != a and s != b and Aa[N[b]] in g0
     ))
+    # every tangible c + nu(d), found once for all m
+    decomposable = {A[c][N[d]] for c in tan for d in tan}
     check("tame", (
         f"{nm[m]} has no tangible c + nu(d) decomposition"
         for m in rng
-        if m not in R.tangible and m not in R.ghost0
-        and not any(
-            add(c, nu(d)) == m for c in R.tangible for d in R.tangible
-        )
+        if m not in tan and m not in g0 and m not in decomposable
     ))
     return ValidationReport(
         not failures, tuple(failures), tuple(checked)
@@ -496,17 +512,17 @@ def cong_intersect(*congs: Congruence) -> Congruence:
 
 
 def is_congruence(R: FiniteNuSemiring, reps: Sequence[int]) -> bool:
-    n = R.size
-    for a in range(n):
-        ra = reps[a]
-        if ra == a:
-            continue
-        for c in range(n):
-            if reps[R.add(a, c)] != reps[R.add(ra, c)]:
-                return False
-            if reps[R.mul(a, c)] != reps[R.mul(ra, c)]:
-                return False
-    return True
+    """Whether the partition given by reps is compatible with + and *.
+
+    Each element's row of each table, read through reps, must equal
+    its representative's; by transitivity that covers every pair in a
+    class.
+    """
+    return all(
+        [reps[x] for x in T[a]] == [reps[x] for x in T[ra]]
+        for T in (R.add_table, R.mul_table)
+        for a, ra in enumerate(reps) if ra != a
+    )
 
 
 def _join(theta: tuple[int, ...], phi: tuple[int, ...]) -> tuple[int, ...]:
@@ -746,22 +762,25 @@ def localize_finite(
             "localization only by prudent elements; offending: "
             + ", ".join(R.names[c] for c in stray)
         )
+    M = R.mul_table
     for c in C:
         for d in C:
-            if R.mul(c, d) not in C:
+            if M[c][d] not in C:
                 raise PreconditionError(
                     "localization set is not multiplicatively closed: "
                     f"{R.names[c]} * {R.names[d]} escapes"
                 )
 
-    mul = R.mul
-    s = reduce(mul, C)
-    s2 = mul(s, s)
-    rest = {c: reduce(mul, [d for d in C if d != c], R.one) for c in C}
+    def product(xs: Iterable[int]) -> int:
+        return reduce(lambda x, y: M[x][y], xs, R.one)
+
+    # the key a*r_c*s^2 is s2_row[rest_row[a]], by commutativity
+    s2_row = M[product(C * 2)]
+    rest_rows = [(c, M[product(d for d in C if d != c)]) for c in C]
     by_key: dict[int, list[tuple[int, int]]] = {}
     for a in range(R.size):
-        for c in C:
-            by_key.setdefault(mul(mul(a, rest[c]), s2), []).append((a, c))
+        for c, rest_row in rest_rows:
+            by_key.setdefault(s2_row[rest_row[a]], []).append((a, c))
     classes = list(by_key.values())
     cls = {p: k for k, members in enumerate(classes) for p in members}
 
@@ -770,14 +789,13 @@ def localize_finite(
         a, c = min(ghostly or members)
         return R.names[a] if c == R.one else f"{R.names[a]}/{R.names[c]}"
 
+    A, N = R.add_table, R.nu_table
     add_t, mul_t, nu_t = _op_tables(
         [members[0] for members in classes],
         cls,
-        lambda p, q: (
-            R.add(mul(p[0], q[1]), mul(q[0], p[1])), mul(p[1], q[1])
-        ),
-        lambda p, q: (mul(p[0], q[0]), mul(p[1], q[1])),
-        lambda p: (R.nu(p[0]), p[1]),
+        lambda p, q: (A[M[p[0]][q[1]]][M[q[0]][p[1]]], M[p[1]][q[1]]),
+        lambda p, q: (M[p[0]][q[0]], M[p[1]][q[1]]),
+        lambda p: (N[p[0]], p[1]),
     )
     tangible = frozenset(
         k
@@ -1336,6 +1354,15 @@ def random_semiring(seed: int) -> FiniteNuSemiring:
     return permute_semiring(template, perm)
 
 
+def _spec_number(text: str) -> int:
+    """The number in a carrier spec, in its one plain spelling: ASCII
+    decimal digits with no sign, space, underscore or leading zero, so
+    that each carrier has one name.  Anything else is a ValueError."""
+    if not (text.isascii() and text.isdigit()) or text != str(int(text)):
+        raise ValueError(f"not a plain decimal: {text!r}")
+    return int(text)
+
+
 def builtin_semiring(spec: str) -> FiniteNuSemiring:
     """Carrier named on the command line: builtin, sized, or seeded.
 
@@ -1347,7 +1374,7 @@ def builtin_semiring(spec: str) -> FiniteNuSemiring:
     for prefix, builder in (("str-chain:", str_chain), ("str-trunc:", str_trunc)):
         if spec.startswith(prefix):
             try:
-                n = int(spec[len(prefix):])
+                n = _spec_number(spec[len(prefix):])
                 if n <= MAX_CHAIN:
                     return builder(n)
             except ValueError:
@@ -1357,7 +1384,7 @@ def builtin_semiring(spec: str) -> FiniteNuSemiring:
             )
     if spec.startswith("random:"):
         try:
-            return random_semiring(int(spec[len("random:"):]))
+            return random_semiring(_spec_number(spec[len("random:"):]))
         except ValueError:
             raise ParseError(f"bad seed in {spec!r}") from None
     for name, carrier in bundled_suite():

@@ -778,6 +778,22 @@ def test_chain_length_cap_exits_4_before_building(capsys):
     assert run(capsys, "validate", "--semiring", "str-chain:0")[0] == 2
 
 
+def test_carrier_spec_numbers_have_one_spelling(capsys):
+    # int() would read each of these as a plain number, giving one
+    # carrier several names (and random:-1 the carrier of random:1)
+    for kind, message in (("str-chain", "bad chain length"),
+                          ("str-trunc", "bad chain length"),
+                          ("random", "bad seed")):
+        for number in ("1_0", " 3", "+3", "03", "３", "-1", "3 ", ""):
+            spec = f"{kind}:{number}"
+            code, out, err = run(capsys, "validate", "--semiring", spec)
+            assert (code, out) == (2, ""), spec
+            assert message in err, (spec, err)
+        code, out, _ = run(capsys, "validate", "--semiring", f"{kind}:3")
+        assert code == 0 and json.loads(out)["passed"] is True
+    assert run(capsys, "validate", "--semiring", "random:0")[0] == 0
+
+
 def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["spec"]) == 2

@@ -76,6 +76,7 @@ from supertrop.spectra import (
 
 from carrier_corpus import wide_corpus
 from congr_oracles import (
+    all_partition_reps,
     brute_congruences,
     eager_validate,
     fixpoint_closure,
@@ -270,6 +271,51 @@ def test_validate_matches_eager_oracle():
     assert failed_checks == set(validate(B).checked)
 
 
+def _edited(
+    R: FiniteNuSemiring, op: str, a: int, b: int, v: int
+) -> FiniteNuSemiring:
+    """R with the entries (a, b) and (b, a) of its + or * table set to
+    v: commutativity stays, associativity or distributivity may not."""
+    tables = {"+": [list(row) for row in R.add_table],
+              "*": [list(row) for row in R.mul_table]}
+    tables[op][a][b] = tables[op][b][a] = v
+    return FiniteNuSemiring(
+        R.names, R.zero, R.one,
+        tuple(map(tuple, tables["+"])), tuple(map(tuple, tables["*"])),
+        R.nu_table, R.tangible, R.prudent,
+    )
+
+
+def test_validate_matches_eager_oracle_on_wide_carriers():
+    # the row gate of the cubic checks must pass over no witness: edits
+    # in the last rows put the first witness of associativity and
+    # distributivity behind rows that the gate lets through
+    rng = random.Random(22)
+    carriers = list(wide_corpus())
+    carriers += [build(n) for n in range(5, 9) for build in (str_chain, str_trunc)]
+    carriers += [
+        permute_semiring(R, rng.sample(range(R.size), R.size)) for R in carriers
+    ]
+    cubic = ("add-associative", "mul-associative", "distributive")
+    late = collections.Counter()
+    for R in carriers:
+        report = validate(R)
+        assert report.passed and report == eager_validate(R), R.names
+        last = range(R.size // 2, R.size)
+        for _ in range(3):
+            P = _edited(
+                R, rng.choice("+*"), rng.choice(last), rng.choice(last),
+                rng.randrange(R.size),
+            )
+            report = validate(P)
+            assert report == eager_validate(P), (P, report)
+            for name, witness in report.failures:
+                if name in cubic:
+                    row = P.names.index(witness.lstrip("(").split(" ")[0])
+                    late[name] += row > 0
+    assert all(late[name] for name in cubic), late
+
+
 def test_power_walk_matches_loop_oracles():
     carriers = [R for _, R in bundled_suite()]
     carriers += [str_chain(n) for n in range(1, 9)]
@@ -309,6 +355,59 @@ def test_prudence_on_flat_and_unit_carriers():
 
 
 # -- congruence basics ---------------------------------------------------
+
+
+def test_is_congruence_matches_bell_scan():
+    carriers = [R for _, R in bundled_suite()]
+    carriers += [build(n) for n in range(1, 4) for build in (str_chain, str_trunc)]
+    checked = 0
+    for R in carriers:
+        if R.size > 7:
+            continue
+        congs = set(brute_congruences(R))
+        for rep in all_partition_reps(R.size):
+            assert is_congruence(R, rep) == (rep in congs), (R.names, rep)
+        checked += 1
+    assert checked >= 10
+
+
+def test_table_kernels_never_call_the_element_methods(monkeypatch):
+    # validate, is_congruence and localize_finite read the tables; a
+    # slide back to per-element method calls fails here
+    def carriers():
+        return [R for _, R in bundled_suite()] + [str_chain(5)]
+
+    def localizations(R):
+        return [R.powers_of(p) | {R.one} for p in sorted(R.prudent)]
+
+    def partitions(R):
+        # every congruence, and one coarse partition that need not be
+        return [c.reps for c in enumerate_congruences(R, R.size)] + [
+            (0,) * (R.size - 1) + (R.size - 1,)
+        ]
+
+    expected = [
+        (
+            validate(R),
+            [(reps, is_congruence(R, reps)) for reps in partitions(R)],
+            [localize_finite(R, C) for C in localizations(R)],
+        )
+        for R in carriers()
+    ]
+
+    def refuse(self, *args):
+        raise AssertionError("an element method was called")
+
+    for method in ("add", "mul", "nu"):
+        monkeypatch.setattr(FiniteNuSemiring, method, refuse)
+    _validate_cached.cache_clear()
+    for R, (report, answers, localized) in zip(carriers(), expected):
+        assert validate(R) == report
+        for reps, answer in answers:
+            assert is_congruence(R, reps) == answer, (R.names, reps)
+        assert [localize_finite(R, C) for C in localizations(R)] == localized
+    with pytest.raises(AssertionError):
+        CHAIN2.add(0, 0)
 
 
 def test_superboolean_congruence_lattice():

@@ -184,7 +184,7 @@ def _cmd_congs(args: argparse.Namespace) -> Payload:
 
 def _cmd_spec(args: argparse.Namespace) -> Payload:
     S = spectra.spec(_load_semiring(args), args.bound)
-    return spectra.spectrum_to_json(S, args.bound)
+    return spectra.spectrum_to_json(S)
 
 
 def _cmd_radical(args: argparse.Namespace) -> Payload:

@@ -8,10 +8,14 @@ hash and compare structurally and serialize to stable JSON.
 Congruences replace ideals here: the ghost cluster iG (elements
 identified with their own ghost) plays the role of the vanishing set,
 and the tangible cluster iT collects elements whose whole class stays
-tangible.  The classifier below recognizes the useful kinds: the
+tangible.  On a valid carrier the two clusters partition the carrier
+(the proof is in _basic_flags), as a prime ideal and its complement
+do.  The classifier below recognizes the useful kinds: the
 q-congruences keep every unit's class tangible, the l-congruences have
-a multiplicatively closed iT, and the nu-primes additionally forbid
-ghost products of non-ghost factors.
+a multiplicatively closed iT, and the nu-primes forbid ghost products
+of non-ghost factors.  By the partition, the nu-primes are exactly the
+l-congruences, and a congruence is determined (no class mixes
+tangibles with ghosts) exactly when its ghost cluster is ghost0.
 
 The full congruence lattice (maximality flags, the Jacobson radical,
 spectra) is built from the principal congruences Cg(a, b), each a
@@ -469,6 +473,15 @@ def _reps_by_key(keys: Sequence[Hashable]) -> tuple[int, ...]:
     return tuple(least.setdefault(k, i) for i, k in enumerate(keys))
 
 
+def _in_range(what: str, n: int, indices: Iterable[int]) -> frozenset[int]:
+    """The indices as a set, each checked to name one of n things."""
+    out = frozenset(indices)
+    for i in out:
+        if not (0 <= i < n):
+            raise PreconditionError(f"no {what} with index {i}")
+    return out
+
+
 def diagonal(R: FiniteNuSemiring) -> Congruence:
     return Congruence(R, tuple(range(R.size)))
 
@@ -490,6 +503,7 @@ def cong_closure(
     add_t, mul_t = R.add_table, R.mul_table
     parent = list(range(R.size))
     work = list(pairs)
+    _in_range("carrier element", R.size, (x for pair in work for x in pair))
     while work:
         a, b = work.pop()
         if _union(parent, a, b):
@@ -500,13 +514,17 @@ def cong_closure(
 
 def ghostify(R: FiniteNuSemiring, elements: Iterable[int]) -> Congruence:
     """Least congruence making every given element a ghost."""
+    elements = _in_range("carrier element", R.size, elements)
     return cong_closure(R, [(b, R.nu(b)) for b in elements])
 
 
 def cong_intersect(*congs: Congruence) -> Congruence:
+    """Meet of congruences, all on the carrier of the first."""
     if not congs:
         raise ValueError("need at least one congruence")
     R = congs[0].semiring
+    for theta in congs:
+        _require_on(R, theta)
     keys = [tuple(c.reps[i] for c in congs) for i in range(R.size)]
     return Congruence(R, _reps_by_key(keys))
 
@@ -568,6 +586,23 @@ def _all_congruences(R: FiniteNuSemiring) -> tuple[Congruence, ...]:
 
 
 def _basic_flags(R: FiniteNuSemiring, theta: Congruence) -> set[str]:
+    """The flags that read theta alone, on a valid carrier.
+
+    They rest on one lemma: iT(theta) and iG(theta) partition the
+    carrier.  Every element is tangible or in ghost0: tame writes any
+    other element m as c + nu(d) with c and d tangible, and
+    nu-order-total, nm-dominance and nm-tie put that sum in
+    {c, nu(c), nu(d)}.  So a class that is not all tangible holds some
+    g = nu(g), and a ~ g gives nu(a) = e*a ~ e*g = g ~ a: the whole
+    class lies in iG.  tangible-partition makes the clusters disjoint.
+
+    Two corollaries.  theta is a nu-prime exactly when it is an
+    l-congruence: a, b outside iG means a, b in iT, so "ab in iG forces
+    a or b in iG" is "iT is multiplicatively closed".  And theta is
+    determined (each class all tangible or all in ghost0) exactly when
+    iG(theta) = ghost0, since ghost0 always lies in iG and a class
+    outside iT lies in iG.
+    """
     iT, iG = theta.iT, theta.iG
     flags: set[str] = set()
     if theta.contains(R.one, R.nu(R.one)):
@@ -575,22 +610,11 @@ def _basic_flags(R: FiniteNuSemiring, theta: Congruence) -> set[str]:
     q = R.units <= iT
     if q:
         flags.add(FLAG_Q)
-    l_cong = q and all(R.mul(a, b) in iT for a in iT for b in iT)
-    if l_cong:
-        flags.add(FLAG_L)
-    if l_cong and all(
-        a in iG or b in iG
-        for a in range(R.size)
-        for b in range(R.size)
-        if R.mul(a, b) in iG
-    ):
-        flags.add(FLAG_PRIME)
+    if q and all(R.mul(a, b) in iT for a in iT for b in iT):
+        flags |= {FLAG_L, FLAG_PRIME}
     if q and ghostpotent_over(R, iG) <= iG:
         flags.add(FLAG_RADICAL)
-    if all(
-        set(members) <= R.tangible or set(members) <= R.ghost0
-        for members in theta.classes()
-    ):
+    if iG == R.ghost0:
         flags.add(FLAG_DETERMINED)
     return flags
 
@@ -632,12 +656,14 @@ def classify(
     theta: Congruence,
     bound: int = DEFAULT_BOUND,
 ) -> frozenset[str]:
-    """Flag set for a congruence.
+    """Flag set for a congruence of a valid carrier.
 
     The two flags relative to the whole l-congruence family
     (TanglyMinimal, MaximalL) need the lattice enumerated and are only
     emitted when the carrier is within the bound.
     """
+    _require_on(R, theta)
+    require_valid(R)
     flags = _basic_flags(R, theta)
     if FLAG_L in flags and R.size <= bound:
         flags |= _relative_flags(theta, _flag_family(R).get(FLAG_L, ()))
@@ -699,6 +725,7 @@ def quotient(
     some unit's class leaks out of the tangible part and the quotient
     has no consistent layering.
     """
+    _require_on(R, theta)
     require_valid(R)
     for u in sorted(R.units):
         if u not in theta.iT:
@@ -753,7 +780,7 @@ def localize_finite(
     must pass validation.
     """
     require_valid(R)
-    C = sorted(set(C))
+    C = sorted(_in_range("carrier element", R.size, C))
     if R.one not in C:
         raise PreconditionError("localization set must contain one")
     stray = [c for c in C if c not in R.prudent]
@@ -903,6 +930,7 @@ def jac(
 ) -> Optional[Congruence]:
     """Intersection of the maximal l-congruences containing theta; None
     when no maximal l-congruence contains theta."""
+    _require_on(R, theta)
     containing = [
         c
         for c in enumerate_congruences(R, bound, FLAG_MAXIMAL_L)

@@ -1,6 +1,11 @@
 """Spectra of finite carriers and the geometry living on them.
 
-The points of the spectrum are the nu-prime congruences.  Closed sets
+The points of the spectrum are the nu-prime congruences.  On a valid
+carrier a congruence's tangible and ghost clusters partition the
+carrier, so the nu-primes are exactly the l-congruences, and f is
+non-ghost at a point exactly when f lies in its tangible cluster.  The
+points are thus the whole l-congruence family, and their relative
+flags (TanglyMinimal, MaximalL) read the points alone.  Closed sets
 are collected by V (primes ghostifying a subset, or containing a
 congruence), basic opens by D, and the congruence of a point set by I.
 Element-set V's are union-stable and form a genuine finite Zariski
@@ -34,10 +39,11 @@ from .congr import (
     FLAG_PRIME,
     FiniteNuSemiring,
     _basic_flags,
+    _in_range,
+    _relative_flags,
     _require_on,
     all_pairs,
     class_names,
-    classify,
     cong_intersect,
     ghostpotent_over,
     gprad,
@@ -120,15 +126,6 @@ def spec(R: FiniteNuSemiring, bound: int = DEFAULT_BOUND) -> Spectrum:
     return Spectrum(R, nu_primes(R, bound))
 
 
-def _in_range(what: str, n: int, indices: Iterable[int]) -> frozenset[int]:
-    """The indices as a set, each checked to name one of n things."""
-    out = frozenset(indices)
-    for i in out:
-        if not (0 <= i < n):
-            raise PreconditionError(f"no {what} with index {i}")
-    return out
-
-
 def _own(S: Spectrum, Y: ZSet) -> ZSet:
     if Y.spectrum != S:
         raise PreconditionError("point set lives on another spectrum")
@@ -159,14 +156,13 @@ def d_set(S: Spectrum, f: int) -> ZSet:
 
 
 def d_restricted(S: Spectrum, C: Iterable[int], f: int) -> ZSet:
-    """Part of D(f) whose points keep all of C in the tangible cluster."""
-    C = frozenset(C)
-    _in_range("carrier element", S.carrier.size, C | {f})
-    members = frozenset(
-        i
-        for i, p in enumerate(S.points)
-        if f not in p.iG and C <= p.iT
-    )
+    """Part of D(f) whose points keep all of C in the tangible cluster.
+
+    f is non-ghost at a point exactly when it lies in the point's
+    tangible cluster, the complement of its ghost cluster.
+    """
+    kept = _in_range("carrier element", S.carrier.size, [*C, f])
+    members = frozenset(i for i, p in enumerate(S.points) if kept <= p.iT)
     return ZSet(S, members, source=f)
 
 
@@ -399,16 +395,23 @@ def _hasse_edges(S: Spectrum) -> list[tuple[int, int]]:
 
 def spectrum_to_json(S: Spectrum, bound: int = DEFAULT_BOUND) -> str:
     """Stable dump: per point its classes, clusters, and classifier
-    flags, plus the Hasse diagram of the inclusion order."""
+    flags, plus the Hasse diagram of the inclusion order.
+
+    The nu-primes are exactly the l-congruences, so the points are the
+    whole l-congruence family and every point's TanglyMinimal and
+    MaximalL read the points alone.  No lattice is built, and bound is
+    not consulted.
+    """
     R = S.carrier
     points = []
     for p in S.points:
+        flags = _basic_flags(R, p) | _relative_flags(p, S.points)
         points.append(
             {
                 "classes": class_names(p),
                 "iT": sorted(R.names[i] for i in p.iT),
                 "iG": sorted(R.names[i] for i in p.iG),
-                "flags": sorted(classify(R, p, bound)),
+                "flags": sorted(flags),
             }
         )
     return json.dumps(

@@ -15,6 +15,11 @@ They are kept verbatim as differential references.
 meet_crad is the library's former crad, the meet of the nu-primes over
 a congruence.  Unlike the others it reads the library's lattice through
 nu_primes; it is the reference for the closure radical.
+
+scan_basic_flags is the library's former _basic_flags, which tested
+NuPrime by a scan over all products landing in the ghost cluster and
+Determined by a scan over the classes.  It is the reference for the
+partition lemma that replaced both scans.
 """
 
 import itertools
@@ -22,6 +27,12 @@ from typing import Iterable, Optional
 
 from supertrop.congr import (
     DEFAULT_BOUND,
+    FLAG_DETERMINED,
+    FLAG_GHOST,
+    FLAG_L,
+    FLAG_PRIME,
+    FLAG_Q,
+    FLAG_RADICAL,
     Congruence,
     FiniteNuSemiring,
     QHom,
@@ -32,6 +43,7 @@ from supertrop.congr import (
     check_q_homomorphism,
     computed_prudent,
     cong_intersect,
+    ghostpotent_over,
     nu_primes,
     validate,
 )
@@ -497,3 +509,31 @@ def meet_crad(
     nu-prime contains theta."""
     containing = [c for c in nu_primes(R, bound) if theta.refines(c)]
     return cong_intersect(*containing) if containing else None
+
+
+def scan_basic_flags(R: FiniteNuSemiring, theta: Congruence) -> set[str]:
+    iT, iG = theta.iT, theta.iG
+    flags: set[str] = set()
+    if theta.contains(R.one, R.nu(R.one)):
+        flags.add(FLAG_GHOST)
+    q = R.units <= iT
+    if q:
+        flags.add(FLAG_Q)
+    l_cong = q and all(R.mul(a, b) in iT for a in iT for b in iT)
+    if l_cong:
+        flags.add(FLAG_L)
+    if l_cong and all(
+        a in iG or b in iG
+        for a in range(R.size)
+        for b in range(R.size)
+        if R.mul(a, b) in iG
+    ):
+        flags.add(FLAG_PRIME)
+    if q and ghostpotent_over(R, iG) <= iG:
+        flags.add(FLAG_RADICAL)
+    if all(
+        set(members) <= R.tangible or set(members) <= R.ghost0
+        for members in theta.classes()
+    ):
+        flags.add(FLAG_DETERMINED)
+    return flags

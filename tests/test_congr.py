@@ -86,6 +86,7 @@ from congr_oracles import (
     pairwise_localize_finite,
     partition_join,
     pruned_congruences,
+    scan_basic_flags,
     scan_isomorphism,
 )
 
@@ -824,9 +825,18 @@ def test_quotient_and_localize_reject_invalid_carriers():
         B.names, B.zero, B.one, tuple(map(tuple, rows)),
         B.mul_table, B.nu_table, B.tangible, B.prudent,
     )
+    # the mixed-units copy with t * u = 1v that the CLI tests use
+    M = mixed_units()
+    rows = [list(r) for r in M.mul_table]
+    rows[M.index("t")][M.index("u")] = M.index("1v")
+    ghost_tu = FiniteNuSemiring(
+        M.names, M.zero, M.one, M.add_table, tuple(map(tuple, rows)),
+        M.nu_table, M.tangible, M.prudent,
+    )
     for R, failed in (
         (wrong_prudent, "prudent-maximal"),
         (broken_add, ", ".join(validate(broken_add).failed_checks())),
+        (ghost_tu, ", ".join(validate(ghost_tu).failed_checks())),
     ):
         message = f"carrier fails validation: {failed}"
         for call in (
@@ -834,6 +844,7 @@ def test_quotient_and_localize_reject_invalid_carriers():
             lambda: localize_finite(R, [R.one]),
             lambda: enumerate_congruences(R),
             lambda: srad(R, [R.one]),
+            lambda: classify(R, diagonal(R)),
         ):
             with pytest.raises(PreconditionError) as exc:
                 call()
@@ -969,6 +980,30 @@ def test_crad_is_the_meet_of_primes():
                 fixed += rad == theta
             checked += 1
     assert checked > 3000 and fixed > 300
+
+
+def test_clusters_partition_and_flags_match_the_scans():
+    # on a valid carrier iT and iG partition the carrier, so NuPrime is
+    # LCong and Determined is iG = ghost0; the former scans must agree
+    rng = random.Random(24)
+    carriers = list(wide_corpus())
+    carriers += [
+        permute_semiring(R, rng.sample(range(R.size), R.size)) for R in carriers
+    ]
+    carriers += [build(n) for n in range(1, 7) for build in (str_chain, str_trunc)]
+    checked = 0
+    for R in carriers:
+        bound = max(R.size, DEFAULT_BOUND)
+        everything = frozenset(range(R.size))
+        for theta in enumerate_congruences(R, bound):
+            assert theta.iT | theta.iG == everything, (R.names, theta.reps)
+            assert not theta.iT & theta.iG, (R.names, theta.reps)
+            flags = congr._basic_flags(R, theta)
+            assert flags == scan_basic_flags(R, theta), (R.names, theta.reps)
+            checked += 1
+        family = _flag_family(R)
+        assert family.get(FLAG_L) == family.get(FLAG_PRIME), R.names
+    assert len(carriers) == 110 and checked > 3000
 
 
 def test_radicals_never_build_the_lattice(monkeypatch):

@@ -1,18 +1,24 @@
 """Spectra: points, closed sets, dimension, sections, and stalks."""
 
+import hashlib
 import itertools
 import json
 import random
 
 import pytest
 
-from supertrop import spectra
+from supertrop import congr, spectra
 from supertrop.congr import (
     DEFAULT_BOUND,
     EMPTY_RADICAL,
     FiniteNuSemiring,
     QHom,
+    _flag_family,
+    all_pairs,
     bundled_suite,
+    classify,
+    cong_closure,
+    cong_intersect,
     crad,
     diagonal,
     enumerate_congruences,
@@ -20,6 +26,7 @@ from supertrop.congr import (
     flat_idempotent,
     ghost_tower,
     ghostify,
+    jac,
     localize_finite,
     mixed_units,
     nu_primes,
@@ -674,6 +681,11 @@ def test_out_of_range_and_foreign_inputs_are_rejected():
             lambda: focal_zone(S, index),
             lambda: is_nu_strict(S, index),
             lambda: sections(S, index),
+            lambda: localize_finite(CHAIN2, [1, index]),
+            lambda: ghostify(FLAT, [index]),
+            lambda: srad(FLAT, [index]),
+            lambda: rcl(FLAT, [index]),
+            lambda: cong_closure(FLAT, [(0, index)]),
         ):
             with pytest.raises(PreconditionError) as exc:
                 call()
@@ -856,6 +868,11 @@ def test_foreign_congruences_are_rejected():
         lambda: crad(FLAT, diagonal(unit_pair())),
         lambda: crad(FLAT, diagonal(str_chain(2))),
         lambda: nullstellensatz_check(FLAT, diagonal(unit_pair())),
+        lambda: quotient(CHAIN2, diagonal(str_chain(3))),
+        lambda: classify(CHAIN2, diagonal(str_chain(3))),
+        lambda: jac(CHAIN2, diagonal(str_chain(3))),
+        lambda: quotient(unit_pair(), all_pairs(FLAT)),
+        lambda: cong_intersect(diagonal(CHAIN2), diagonal(str_chain(3))),
     ):
         with pytest.raises(PreconditionError) as exc:
             call()
@@ -872,6 +889,67 @@ def test_check_report_json():
         "failures": [],
     }
     assert report.to_json() == report.to_json()
+
+
+# sha256 of spectrum_to_json(spec(R, b), b) with b = max(R.size, 7),
+# taken when every point's flags came from classify and the lattice
+SPECTRUM_JSON_DIGESTS = {
+    "superboolean":
+        "46e80faf041c133a1db11492fc3eca4011c0111509f2a8458407898e7b1b8014",
+    "str-chain:2":
+        "7b3b0886609f73b963681d93e253829bcf88ae3f2827690aaa919e17d03a8cb2",
+    "str-trunc:3":
+        "15dfeb5b9d51719365acb0253fc706bd746966ce68ace0876d5dfd32378ad47a",
+    "flat-idempotent":
+        "5c8bf14cdc8d17eb7c20afebed9fa796e7ec65df7796dc5186f1bd67c65bce81",
+    "unit-pair":
+        "7ebd96659cf9e0a6a2985ebf866072ca800c45fd65462a0846d9ef26507e8250",
+    "ghost-tower":
+        "48e8b569e0d3b0d75ed78c0d19ca26aab00a29d97f8c2d79ddf0514fd12af005",
+    "mixed-units":
+        "e8bf8589e061df04ac148d4dd5353f297c927d9681cb1d557c30d2655c0995b0",
+    "two-level-t":
+        "01347c2241266a1d691f32fdbd390b001253f4de9110eed30399a6264255dc09",
+    "two-level-g":
+        "01347c2241266a1d691f32fdbd390b001253f4de9110eed30399a6264255dc09",
+    "str-chain:1":
+        "04e863c4b2eaea0382760afcad884b8c95bf1da49f2cc34ae0f8fe5c0dbd0bd0",
+    "str-trunc:1":
+        "04e863c4b2eaea0382760afcad884b8c95bf1da49f2cc34ae0f8fe5c0dbd0bd0",
+    "str-trunc:2":
+        "7b3b0886609f73b963681d93e253829bcf88ae3f2827690aaa919e17d03a8cb2",
+    "str-chain:3":
+        "a35342605ad1ea421297b77c2209d3adc5fe812ee19a853d6e5d28205cc321c4",
+    "str-chain:4":
+        "66475f29b35b5fe62d2c7365c9ee942091e87d9a4f207b8d1b26eb650c5629db",
+    "str-trunc:4":
+        "a576969124daeb8bf8aeb105efc1018eba010157984285d92fd8cee5f2661bc0",
+}
+
+
+def test_spectrum_flags_need_neither_lattice_nor_bound(monkeypatch):
+    S = spec(str_chain(4), 9)
+    assert spectrum_to_json(S) == spectrum_to_json(S, 9)
+    assert "MaximalL" in spectrum_to_json(S)
+    carriers = dict(bundled_suite())
+    carriers.update(
+        (f"{prefix}:{n}", build(n))
+        for n in range(1, 5)
+        for prefix, build in (("str-chain", str_chain), ("str-trunc", str_trunc))
+    )
+    spectra_by_name = {
+        name: spec(R, max(R.size, DEFAULT_BOUND)) for name, R in carriers.items()
+    }
+
+    def no_lattice(R):
+        raise AssertionError("spectrum_to_json built the congruence lattice")
+
+    _flag_family.cache_clear()
+    monkeypatch.setattr(congr, "_all_congruences", no_lattice)
+    assert set(spectra_by_name) == set(SPECTRUM_JSON_DIGESTS)
+    for name, S in spectra_by_name.items():
+        dumped = spectrum_to_json(S).encode()
+        assert hashlib.sha256(dumped).hexdigest() == SPECTRUM_JSON_DIGESTS[name]
 
 
 def test_spectrum_json_shape():

@@ -21,9 +21,12 @@ The full congruence lattice (maximality flags, the Jacobson radical,
 spectra) is built from the principal congruences Cg(a, b), each a
 worklist closure over union-find, closed under joins.  Its cost grows
 with the number of congruences rather than with the number of set
-partitions; it stays exact and is still gated by a size bound.  The
-nu-radicals need no lattice: each is a closure that ghostifies
-ghostpotent elements until none is left.
+partitions; it stays exact and is still gated by a size bound.  A
+carrier object computes its lattice, filed by flag, and its validity
+report once, on first use, and frees them with itself; an equal but
+distinct carrier computes its own.  The nu-radicals need no lattice:
+each is a closure that ghostifies ghostpotent elements until none is
+left.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .core import (
@@ -56,9 +59,6 @@ DEFAULT_BOUND = 7
 # N = 32 (65 elements) takes about 0.1 s to build and 0.1 s to validate
 # (a 2-core x86-64 Linux VM, Python 3.11)
 MAX_CHAIN = 32
-# entries kept per carrier-keyed cache; carriers come and go in a
-# long-lived process, so the caches must not grow without limit
-_CACHE_SIZE = 16
 
 FLAG_Q = "QCong"
 FLAG_L = "LCong"
@@ -142,19 +142,33 @@ class FiniteNuSemiring:
             a for a, row in enumerate(self.mul_table) if self.one in row
         )
 
+    @cached_property
+    def validity(self) -> ValidationReport:
+        """The axiom battery's report, run once for this carrier object."""
+        return validate(self)
+
+    @cached_property
+    def _flag_family(self) -> dict[Optional[str], tuple[Congruence, ...]]:
+        """The lattice under the key None, and filtered by each flag.
+        Read it only past the size bound and validity (cong_closure needs it)."""
+        lattice = _all_congruences(self)
+        flag_sets = [_basic_flags(self, c) for c in lattice]
+        l_congs = [c for c, flags in zip(lattice, flag_sets) if FLAG_L in flags]
+        family: dict[Optional[str], list[Congruence]] = {}
+        for c, flags in zip(lattice, flag_sets):
+            if FLAG_L in flags:
+                flags |= _relative_flags(c, l_congs)
+            for flag in (None, *flags):
+                family.setdefault(flag, []).append(c)
+        return {flag: tuple(cs) for flag, cs in family.items()}
+
     def ghost_divisors(self) -> frozenset[int]:
         """Non-ghost elements with a non-ghost cofactor ghosting the product."""
-        out = set()
-        for a in range(self.size):
-            if a in self.ghost0:
-                continue
-            for b in range(self.size):
-                if b in self.ghost0:
-                    continue
-                if self.mul(a, b) in self.ghost0:
-                    out.add(a)
-                    break
-        return frozenset(out)
+        g0 = self.ghost0
+        live = [a for a in range(self.size) if a not in g0]
+        return frozenset(
+            a for a in live if any(self.mul_table[a][b] in g0 for b in live)
+        )
 
     def index(self, name: str) -> int:
         try:
@@ -360,20 +374,12 @@ def validate(R: FiniteNuSemiring) -> ValidationReport:
     )
 
 
-def _require_passed(report: ValidationReport, what: str) -> None:
-    if not report.passed:
+def require_valid(R: FiniteNuSemiring, what: str = "carrier") -> None:
+    """The one validity gate, for inputs and for built carriers alike."""
+    if not R.validity.passed:
         raise PreconditionError(
-            f"{what} fails validation: " + ", ".join(report.failed_checks())
+            f"{what} fails validation: " + ", ".join(R.validity.failed_checks())
         )
-
-
-def require_valid(R: FiniteNuSemiring) -> None:
-    _require_passed(_validate_cached(R), "carrier")
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _validate_cached(R: FiniteNuSemiring) -> ValidationReport:
-    return validate(R)
 
 
 # -- congruences --------------------------------------------------------
@@ -633,24 +639,6 @@ def _relative_flags(
     return flags
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _flag_family(
-    R: FiniteNuSemiring,
-) -> dict[Optional[str], tuple[Congruence, ...]]:
-    """The lattice, under the key None, and the lattice filtered by
-    each flag, computed once per carrier."""
-    lattice = _all_congruences(R)
-    flag_sets = [_basic_flags(R, c) for c in lattice]
-    l_congs = [c for c, flags in zip(lattice, flag_sets) if FLAG_L in flags]
-    family: dict[Optional[str], list[Congruence]] = {}
-    for c, flags in zip(lattice, flag_sets):
-        if FLAG_L in flags:
-            flags |= _relative_flags(c, l_congs)
-        for flag in (None, *flags):
-            family.setdefault(flag, []).append(c)
-    return {flag: tuple(cs) for flag, cs in family.items()}
-
-
 def classify(
     R: FiniteNuSemiring,
     theta: Congruence,
@@ -666,7 +654,7 @@ def classify(
     require_valid(R)
     flags = _basic_flags(R, theta)
     if FLAG_L in flags and R.size <= bound:
-        flags |= _relative_flags(theta, _flag_family(R).get(FLAG_L, ()))
+        flags |= _relative_flags(theta, R._flag_family.get(FLAG_L, ()))
     return frozenset(flags)
 
 
@@ -677,7 +665,7 @@ def enumerate_congruences(
 ) -> tuple[Congruence, ...]:
     """All congruences, optionally filtered by a classifier flag."""
     _require_within(R, bound)
-    return _flag_family(R).get(kind, ())
+    return R._flag_family.get(kind, ())
 
 
 def _require_within(R: FiniteNuSemiring, bound: int) -> None:
@@ -752,7 +740,7 @@ def quotient(
         nu_t,
         tangible,
     )
-    _require_passed(validate(out), "quotient")
+    require_valid(out, "quotient")
     return out, proj
 
 
@@ -838,7 +826,7 @@ def localize_finite(
         nu_t,
         tangible,
     )
-    _require_passed(validate(out), "localization")
+    require_valid(out, "localization")
     return out, tuple(cls[(a, R.one)] for a in range(R.size))
 
 
@@ -956,6 +944,9 @@ def check_q_homomorphism(phi: QHom) -> Optional[str]:
     R, S, f = phi.src, phi.dst, phi.mapping
     if len(f) != R.size:
         return "mapping length mismatch"
+    for a, b in enumerate(f):
+        if not isinstance(b, int) or not 0 <= b < S.size:
+            return f"mapping entry out of range at {R.names[a]}"
     if f[R.zero] != S.zero:
         return "zero not preserved"
     if f[R.one] != S.one:
@@ -1083,10 +1074,17 @@ def _loads(text: str):
         raise ParseError(f"bad JSON: {exc}") from None
 
 
+def _typed(value, kind: type, what: str):
+    """value, which the JSON must give as an array (list) or object (dict)."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{what} is not an {'array' if kind is list else 'object'}")
+    return value
+
+
 def semiring_from_json(text: str) -> FiniteNuSemiring:
     obj = _loads(text)
     try:
-        names = tuple(str(x) for x in obj["elements"])
+        names = tuple(str(x) for x in _typed(obj["elements"], list, "elements"))
         pos = {name: i for i, name in enumerate(names)}
         if len(pos) != len(names):
             raise ParseError("duplicate element names")
@@ -1108,13 +1106,14 @@ def semiring_from_json(text: str) -> FiniteNuSemiring:
                 raise ParseError(f"unknown element {name!r}")
             return pos[name]
 
-        add_t = tuple(
-            tuple(look(v) for v in row) for row in obj["add"]
-        )
-        mul_t = tuple(
-            tuple(look(v) for v in row) for row in obj["mul"]
-        )
-        nu_map = obj["nu"]
+        def table(key: str) -> tuple[tuple[int, ...], ...]:
+            return tuple(
+                tuple(look(v) for v in _typed(row, list, f"a row of {key}"))
+                for row in _typed(obj[key], list, key)
+            )
+
+        add_t, mul_t = table("add"), table("mul")
+        nu_map = _typed(obj["nu"], dict, "nu")
         nu_t = tuple(look(nu_map[name]) for name in names)
         R = FiniteNuSemiring(
             names,
@@ -1123,8 +1122,8 @@ def semiring_from_json(text: str) -> FiniteNuSemiring:
             add_t,
             mul_t,
             nu_t,
-            frozenset(look(v) for v in obj["tangible"]),
-            frozenset(look(v) for v in obj["prudent"]),
+            frozenset(look(v) for v in _typed(obj["tangible"], list, "tangible")),
+            frozenset(look(v) for v in _typed(obj["prudent"], list, "prudent")),
         )
     except ParseError:
         raise
@@ -1147,9 +1146,10 @@ def cong_to_json(theta: Congruence) -> str:
 def cong_from_json(R: FiniteNuSemiring, text: str) -> Congruence:
     obj = _loads(text)
     try:
-        classes = obj["classes"]
         seen: dict[int, int] = {}
-        for members in classes:
+        for members in _typed(obj["classes"], list, "classes"):
+            if not _typed(members, list, "a class"):
+                raise ValueError("a class is empty")
             block = sorted(R.index(name) for name in members)
             for i in block:
                 if i in seen:

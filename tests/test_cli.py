@@ -24,9 +24,11 @@ from supertrop.congr import (
     bundled_suite,
     builtin_semiring,
     class_names,
+    cong_from_json,
     enumerate_congruences,
     flat_idempotent,
     mixed_units,
+    semiring_from_json,
     str_chain,
     str_trunc,
     superboolean,
@@ -513,6 +515,62 @@ def test_json_verb_golden_digests(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_json_readers_require_arrays_and_objects(capsys):
+    # strings are not read as lists of one-character names
+    strings = {
+        "elements": "01e", "zero": "0", "one": "1",
+        "add": ["01e", "1ee", "eee"], "mul": ["000", "01e", "0ee"],
+        "nu": {"0": "0", "1": "e", "e": "e"}, "tangible": "1", "prudent": "1",
+    }
+    base = json.loads(to_json(str_chain(2)))
+    cases = [(strings, "elements is not an array")]
+    for key, value, what in (
+        ("elements", "".join(base["elements"]), "elements is not an array"),
+        ("tangible", "1", "tangible is not an array"),
+        ("prudent", {"1": "1"}, "prudent is not an array"),
+        ("add", "0", "add is not an array"),
+        ("mul", None, "mul is not an array"),
+        ("nu", [[k, v] for k, v in base["nu"].items()], "nu is not an object"),
+    ):
+        cases.append(({**base, key: value}, what))
+    for key in ("add", "mul"):
+        rows = [*base[key][:-1], "".join(base[key][-1])]
+        cases.append(({**base, key: rows}, f"a row of {key} is not an array"))
+    for obj, what in cases:
+        for verb in ("validate", "spec"):
+            code, out, err = run(capsys, verb, "--semiring", json.dumps(obj))
+            assert (code, out) == (2, ""), what
+            assert err.splitlines() == [
+                f"parse error: malformed carrier description: {what}"
+            ]
+    for spec, classes, what in (
+        ("str-chain:2", [["0"], ["1"], ["1v"], "av"], "a class is not an array"),
+        ("str-chain:1", [["0"], "1", ["1v"]], "a class is not an array"),
+        ("str-chain:1", [["0"], ["1"], ["1v"], []], "a class is empty"),
+        ("str-chain:1", "0", "classes is not an array"),
+    ):
+        congruence = json.dumps({"classes": classes})
+        code, out, err = run(
+            capsys, "quotient", "--semiring", spec, "--congruence", congruence
+        )
+        assert (code, out) == (2, ""), classes
+        assert err.splitlines() == [
+            f"parse error: malformed congruence description: {what}"
+        ]
+    # every bundled carrier and every golden congruence still parses
+    for name, R in bundled_suite():
+        assert semiring_from_json(to_json(R)) == R, name
+    argvs = [argv for argv, _ in CARRIER_GOLDENS + JSON_VERB_GOLDENS]
+    argvs += [["--semiring", k, "--congruence", v] for k, v in _THETAS.items()]
+    parsed = 0
+    for argv in argvs:
+        if "--congruence" in argv:
+            R = builtin_semiring(argv[argv.index("--semiring") + 1])
+            cong_from_json(R, argv[argv.index("--congruence") + 1])
+            parsed += 1
+    assert parsed == 12
+
+
 def test_quotient_and_localize_reject_invalid_carrier_exit_3(capsys):
     obj = json.loads(to_json(flat_idempotent()))
     obj["prudent"] = ["1"]  # t belongs to the maximal admissible set
@@ -582,8 +640,8 @@ def test_spec_stops_an_oversize_carrier_before_validating(capsys, monkeypatch):
     def no_validation(R):
         raise AssertionError("validate ran on an oversize carrier")
 
+    # the CLI builds a fresh carrier, so no report is cached on it
     monkeypatch.setattr(congr, "validate", no_validation)
-    congr._validate_cached.cache_clear()
     code, out, err = run(capsys, "spec", "--semiring", f"str-chain:{MAX_CHAIN}")
     assert (code, out) == (4, "")
     assert err.startswith("enumeration bound exceeded: carrier has 65 elements")

@@ -1,21 +1,25 @@
 """Finite carriers, their validation, and the congruence toolkit."""
 
 import collections
+import dataclasses
+import gc
+import importlib
 import itertools
 import json
+import pkgutil
 import random
 import time
+import weakref
 
 import pytest
 
+import supertrop
 from supertrop import congr
 from supertrop.congr import (
     Congruence,
     DEFAULT_BOUND,
     _assemble_blocks,
-    _flag_family,
     _powers,
-    _validate_cached,
     EMPTY_RADICAL,
     FLAG_DETERMINED,
     FLAG_GHOST,
@@ -27,6 +31,7 @@ from supertrop.congr import (
     FLAG_TANGLY_MINIMAL,
     FiniteNuSemiring,
     QHom,
+    ValidationReport,
     all_pairs,
     bundled_suite,
     builtin_semiring,
@@ -401,8 +406,9 @@ def test_table_kernels_never_call_the_element_methods(monkeypatch):
 
     for method in ("add", "mul", "nu"):
         monkeypatch.setattr(FiniteNuSemiring, method, refuse)
-    _validate_cached.cache_clear()
+    # fresh carriers, so no report or lattice computed above is reused
     for R, (report, answers, localized) in zip(carriers(), expected):
+        assert "validity" not in vars(R), R.names
         assert validate(R) == report
         for reps, answer in answers:
             assert is_congruence(R, reps) == answer, (R.names, reps)
@@ -529,17 +535,64 @@ def test_str_chain_6_lattice():
 
 
 def test_lattice_caches_are_bounded():
+    # each copy keeps its report and lattice on itself, and the
+    # lattice's congruences point back at it: a cycle that refcounting
+    # alone never frees, so the collector must
     R = str_chain(3)
+    refs = []
     for k in range(40):
-        # renamed copies are pairwise distinct cache keys
         copy = FiniteNuSemiring(
             tuple(f"{s}.{k}" for s in R.names), R.zero, R.one,
             R.add_table, R.mul_table, R.nu_table, R.tangible, R.prudent,
         )
         require_valid(copy)
         enumerate_congruences(copy)
-    for cache in (_flag_family, _validate_cached):
-        assert cache.cache_info().currsize < 40
+        assert {"validity", "_flag_family"} <= set(vars(copy))
+        refs.append(weakref.ref(copy))
+    del copy
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 40
+
+
+def test_no_module_holds_an_lru_cache():
+    # the report and the lattice live on their carrier, not in a
+    # module-level cache keyed by whole carriers
+    for info in pkgutil.iter_modules(supertrop.__path__):
+        module = importlib.import_module(f"supertrop.{info.name}")
+        for name, value in vars(module).items():
+            held = [value]
+            if isinstance(value, type):  # a cache on a class is module-level too
+                held += vars(value).values()
+            assert not any(hasattr(v, "cache_clear") for v in held), name
+
+
+def test_validity_and_lattice_are_computed_once_per_carrier(monkeypatch):
+    battery, lattices = [], []
+    all_congruences = congr._all_congruences
+
+    def counted_validate(R):
+        battery.append(R)
+        return validate(R)
+
+    def counted_lattice(R):
+        lattices.append(R)
+        return all_congruences(R)
+
+    monkeypatch.setattr(congr, "validate", counted_validate)
+    monkeypatch.setattr(congr, "_all_congruences", counted_lattice)
+    R = str_chain(3)
+    equal = dataclasses.replace(R)
+    renamed = FiniteNuSemiring(
+        tuple(f"{s}'" for s in R.names), R.zero, R.one,
+        R.add_table, R.mul_table, R.nu_table, R.tangible, R.prudent,
+    )
+    for carrier in (R, equal, renamed):
+        require_valid(carrier)
+        require_valid(carrier)
+        assert enumerate_congruences(carrier) == enumerate_congruences(carrier)
+        assert battery[-1] is carrier and lattices[-1] is carrier
+    # an equal but distinct carrier computes its own report and lattice
+    assert len(battery) == len(lattices) == 3
 
 
 def test_flag_family_matches_classify():
@@ -811,6 +864,36 @@ def test_localize_matches_pairwise_oracle():
     assert proper > 100
 
 
+def test_built_carriers_pass_the_one_validity_gate(monkeypatch):
+    R = mixed_units()
+    require_valid(R)  # the input's report, computed before the patches
+    theta = ghostify(R, [R.index("t")])
+    C = [R.one, R.index("t")]
+    checked = []
+
+    def counted_validate(out):
+        checked.append(out)
+        return validate(out)
+
+    # each built carrier runs the battery exactly once
+    monkeypatch.setattr(congr, "validate", counted_validate)
+    for build in (lambda: quotient(R, theta), lambda: localize_finite(R, C)):
+        out, _ = build()
+        assert checked == [out]
+        require_valid(out)
+        assert checked == [out]
+        checked.clear()
+    failing = ValidationReport(False, (("tame", "x"),), ("tame",))
+    monkeypatch.setattr(congr, "validate", lambda out: failing)
+    for call, message in (
+        (lambda: quotient(R, theta), "quotient fails validation: tame"),
+        (lambda: localize_finite(R, C), "localization fails validation: tame"),
+    ):
+        with pytest.raises(PreconditionError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 def test_quotient_and_localize_reject_invalid_carriers():
     F = flat_idempotent()
     # only the prudent set is wrong, so the quotient by the diagonal and
@@ -1001,20 +1084,22 @@ def test_clusters_partition_and_flags_match_the_scans():
             flags = congr._basic_flags(R, theta)
             assert flags == scan_basic_flags(R, theta), (R.names, theta.reps)
             checked += 1
-        family = _flag_family(R)
+        family = R._flag_family
         assert family.get(FLAG_L) == family.get(FLAG_PRIME), R.names
     assert len(carriers) == 110 and checked > 3000
 
 
 def test_radicals_never_build_the_lattice(monkeypatch):
-    carriers = [(R, R.size) for R in wide_corpus()] + [(str_chain(12), 25)]
+    # fresh copies of the shared corpus, so no lattice is cached on them
+    carriers = [(dataclasses.replace(R), R.size) for R in wide_corpus()]
+    carriers.append((str_chain(12), 25))
 
     def no_lattice(R):
         raise AssertionError("a radical built the congruence lattice")
 
-    _flag_family.cache_clear()
     monkeypatch.setattr(congr, "_all_congruences", no_lattice)
     for R, bound in carriers:
+        assert "_flag_family" not in vars(R), R.names
         rad = srad(R, (), bound)
         assert rad.iG == gprad(R), R.names
         assert FLAG_RADICAL in classify(R, rad, 0)
@@ -1047,6 +1132,18 @@ def test_pullback_rejects_non_homomorphism():
     bad = QHom(B, CHAIN2, (0, 1, 1))
     with pytest.raises(PreconditionError):
         pullback(bad, diagonal(CHAIN2))
+
+
+def test_q_homomorphism_entries_are_range_checked():
+    # past the end, negative (which would wrap) and non-integer entries
+    for mapping in ((0, 1, 99), (0, 1, -1), (0, 1, 2.0)):
+        phi = QHom(B, B, mapping)
+        assert check_q_homomorphism(phi) == "mapping entry out of range at b1v"
+        with pytest.raises(PreconditionError) as exc:
+            pullback(phi, diagonal(B))
+        assert str(exc.value) == (
+            "not a q-homomorphism: mapping entry out of range at b1v"
+        )
 
 
 def test_find_isomorphism_positive_and_negative():

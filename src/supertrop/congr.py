@@ -17,16 +17,19 @@ of non-ghost factors.  By the partition, the nu-primes are exactly the
 l-congruences, and a congruence is determined (no class mixes
 tangibles with ghosts) exactly when its ghost cluster is ghost0.
 
-The full congruence lattice (maximality flags, the Jacobson radical,
-spectra) is built from the principal congruences Cg(a, b), each a
-worklist closure over union-find, closed under joins.  Its cost grows
-with the number of congruences rather than with the number of set
-partitions; it stays exact and is still gated by a size bound.  A
-carrier object computes its lattice, filed by flag, and its validity
-report once, on first use, and frees them with itself; an equal but
-distinct carrier computes its own.  The nu-radicals need no lattice:
-each is a closure that ghostifies ghostpotent elements until none is
-left.
+The principal congruences Cg(a, b), each a worklist closure over
+union-find, and one join search over them serve two ends.  From the
+diagonal the search reaches the whole congruence lattice, at a cost in
+the number of congruences rather than of set partitions; it is built
+anew on each enumeration and kept nowhere.  From the ghostify of each
+candidate ghost cluster it reaches exactly the nu-primes (the proof is
+in FiniteNuSemiring._primes), so the points, the maximality flags and
+the Jacobson radical need no lattice.  Both stay exact and gated by
+the same size bound.  A carrier object computes its validity report,
+its principals and its points once, on first use, as plain ints that
+are freed with it; an equal but distinct carrier computes its own.
+The nu-radicals need no lattice either: each is a closure that
+ghostifies ghostpotent elements until none is left.
 """
 
 from __future__ import annotations
@@ -148,19 +151,68 @@ class FiniteNuSemiring:
         return validate(self)
 
     @cached_property
-    def _flag_family(self) -> dict[Optional[str], tuple[Congruence, ...]]:
-        """The lattice under the key None, and filtered by each flag.
-        Read it only past the size bound and validity (cong_closure needs it)."""
-        lattice = _all_congruences(self)
-        flag_sets = [_basic_flags(self, c) for c in lattice]
-        l_congs = [c for c, flags in zip(lattice, flag_sets) if FLAG_L in flags]
-        family: dict[Optional[str], list[Congruence]] = {}
-        for c, flags in zip(lattice, flag_sets):
-            if FLAG_L in flags:
-                flags |= _relative_flags(c, l_congs)
-            for flag in (None, *flags):
-                family.setdefault(flag, []).append(c)
-        return {flag: tuple(cs) for flag, cs in family.items()}
+    def _principals(self) -> dict[tuple[int, ...], tuple[int, int]]:
+        """Each principal congruence Cg(a, b) as reps, with a pair (a, b)
+        that generates it.  Read it only past validity, which
+        cong_closure needs."""
+        return {
+            cong_closure(self, [(a, b)]).reps: (a, b)
+            for a in range(self.size) for b in range(a + 1, self.size)
+        }
+
+    @cached_property
+    def _primes(self) -> tuple[tuple[int, ...], ...]:
+        """The nu-primes as sorted reps, each found above its ghost
+        cluster.  Read it only past validity, which the proof needs.
+
+        For each m let F(m) be the divisors of the powers of m, with 1
+        included, and P its complement.  The candidates are the P that
+        contain ghost0 (so m lies outside it).  From ghostify(R, P) the
+        search joins with principals and keeps each join whose ghost
+        cluster is still P, that is, in which no member of F(m) has
+        turned ghost, since iG only grows along joins.
+
+        Every nu-prime theta is found.  iG(theta) is an ideal (a ~ nu(a)
+        gives ab ~ nu(a)b = nu(ab)), so its complement iT(theta) (the
+        partition lemma in _basic_flags) is saturated: ab in iT puts a
+        and b in iT.  iT is multiplicatively closed, since theta is an
+        l-congruence, and holds 1.  A saturated multiplicative set T of
+        a finite commutative monoid is F(m) for m the product of T
+        (Grillet, Commutative Semigroups, 2001): each member of T
+        divides m, and a divisor of a power of m lies in T.  m is in iT,
+        so outside ghost0, and P = iG(theta), the complement of F(m),
+        contains ghost0.  theta ghostifies P, so it lies above
+        ghostify(R, P) and is the join of that congruence with the
+        principals Cg(a, b) of its own pairs.  iG is monotone, so every
+        partial join has ghost cluster P and is kept: the search
+        reaches theta.
+
+        Only nu-primes are found.  The start ghostify(R, P) has ghost
+        cluster exactly P.  F(m) is saturated, so P is an ideal.  Let E
+        put each ghost g in one class with the x in P for which nu(x) =
+        g.  E is a congruence.  Addition is fixed by the ghost chain
+        (nu-order-total, nm-dominance, nm-tie, nm-zero), so for x in P
+        and any c, x + c and nu(x) + c are x and nu(x) again, or both c,
+        or both nu(x).  And xc with nu(x)c = nu(xc) is a pair of E, as
+        xc lies in P.  So ghostify(R, P) = E, in which each member of
+        F(m) is alone in its class.  Every join kept has ghost cluster
+        P as well.  So everything found has tangible cluster F(m) by the
+        partition lemma, which is multiplicatively closed and holds the
+        units (they divide 1).  So it is an l-congruence, which is the
+        same thing as a nu-prime.
+        """
+        M, N, g0 = self.mul_table, self.nu_table, self.ghost0
+        found: set[tuple[int, ...]] = set()
+        for m in range(self.size):
+            divided = self.powers_of(m) | {self.one}
+            F = frozenset(a for a, row in enumerate(M) if not divided.isdisjoint(row))
+            P = frozenset(range(self.size)) - F
+            if g0 <= P:
+                found |= _joins(
+                    self, ghostify(self, P).reps,
+                    lambda reps: all(reps[a] != reps[N[a]] for a in F),
+                )
+        return tuple(sorted(found))
 
     def ghost_divisors(self) -> frozenset[int]:
         """Non-ghost elements with a non-ghost cofactor ghosting the product."""
@@ -562,33 +614,37 @@ def _join(theta: tuple[int, ...], phi: tuple[int, ...]) -> tuple[int, ...]:
     return _canonical_reps(parent)
 
 
+def _joins(R: FiniteNuSemiring, start: tuple[int, ...], keep: Callable) -> set[tuple]:
+    """start and its joins with principal congruences, repeated from
+    every join that keep accepts; all as reps.
+
+    A join is tried only with a principal not yet below it, and only
+    the joins keep accepts are kept and joined further.
+    """
+    found, todo = {start}, [start]
+    while todo:
+        theta = todo.pop()
+        for p, (a, b) in R._principals.items():
+            if theta[a] != theta[b]:
+                joined = _join(theta, p)
+                if joined not in found and keep(joined):
+                    found.add(joined)
+                    todo.append(joined)
+    return found
+
+
 def _all_congruences(R: FiniteNuSemiring) -> tuple[Congruence, ...]:
     """The whole lattice: the diagonal, the principal congruences
     Cg(a, b), and their joins (Freese, "Computing congruences
     efficiently", Algebra Universalis 59, 2008).
 
     Every congruence is the join of the principals of its pairs, so
-    joining each new congruence with every principal not yet below it
+    joining from the diagonal with every principal not yet below
     reaches them all, at a cost in the lattice size, not in Bell(n).
+    The lattice is built on each call and kept nowhere.
     """
-    n = R.size
-    principals: dict[tuple[int, ...], tuple[int, int]] = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            reps = cong_closure(R, [(a, b)]).reps
-            principals.setdefault(reps, (a, b))
-    found = {tuple(range(n)), *principals}
-    todo = list(principals)
-    while todo:
-        theta = todo.pop()
-        for p, (a, b) in principals.items():
-            if theta[a] == theta[b]:
-                continue
-            joined = _join(theta, p)
-            if joined not in found:
-                found.add(joined)
-                todo.append(joined)
-    return tuple(Congruence(R, reps) for reps in sorted(found))
+    lattice = _joins(R, tuple(range(R.size)), lambda reps: True)
+    return tuple(Congruence(R, reps) for reps in sorted(lattice))
 
 
 def _basic_flags(R: FiniteNuSemiring, theta: Congruence) -> set[str]:
@@ -647,14 +703,15 @@ def classify(
     """Flag set for a congruence of a valid carrier.
 
     The two flags relative to the whole l-congruence family
-    (TanglyMinimal, MaximalL) need the lattice enumerated and are only
-    emitted when the carrier is within the bound.
+    (TanglyMinimal, MaximalL) are read from the points, which are that
+    family, and are only emitted when the carrier is within the bound.
+    No lattice is built.
     """
     _require_on(R, theta)
     require_valid(R)
     flags = _basic_flags(R, theta)
     if FLAG_L in flags and R.size <= bound:
-        flags |= _relative_flags(theta, R._flag_family.get(FLAG_L, ()))
+        flags |= _relative_flags(theta, nu_primes(R, bound))
     return frozenset(flags)
 
 
@@ -663,9 +720,12 @@ def enumerate_congruences(
     bound: int = DEFAULT_BOUND,
     kind: Optional[str] = None,
 ) -> tuple[Congruence, ...]:
-    """All congruences, optionally filtered by a classifier flag."""
+    """All congruences, optionally only those that classify flags with
+    kind; the lattice is built on every call."""
     _require_within(R, bound)
-    return R._flag_family.get(kind, ())
+    return tuple(
+        c for c in _all_congruences(R) if kind is None or kind in classify(R, c, bound)
+    )
 
 
 def _require_within(R: FiniteNuSemiring, bound: int) -> None:
@@ -843,7 +903,10 @@ EMPTY_RADICAL = None
 def nu_primes(
     R: FiniteNuSemiring, bound: int = DEFAULT_BOUND
 ) -> tuple[Congruence, ...]:
-    return enumerate_congruences(R, bound, FLAG_PRIME)
+    """The nu-primes in canonical order, found without the lattice
+    (FiniteNuSemiring._primes); the size bound still gates them."""
+    _require_within(R, bound)
+    return tuple(Congruence(R, reps) for reps in R._primes)
 
 
 def crad(
@@ -917,12 +980,13 @@ def jac(
     bound: int = DEFAULT_BOUND,
 ) -> Optional[Congruence]:
     """Intersection of the maximal l-congruences containing theta; None
-    when no maximal l-congruence contains theta."""
+    when no maximal l-congruence contains theta.  The l-congruences are
+    the points, so the maximal ones are read from them."""
     _require_on(R, theta)
+    points = nu_primes(R, bound)
     containing = [
-        c
-        for c in enumerate_congruences(R, bound, FLAG_MAXIMAL_L)
-        if theta.refines(c)
+        c for c in points
+        if theta.refines(c) and FLAG_MAXIMAL_L in _relative_flags(c, points)
     ]
     return cong_intersect(*containing) if containing else EMPTY_RADICAL
 
@@ -1084,7 +1148,10 @@ def _typed(value, kind: type, what: str):
 def semiring_from_json(text: str) -> FiniteNuSemiring:
     obj = _loads(text)
     try:
-        names = tuple(str(x) for x in _typed(obj["elements"], list, "elements"))
+        names = tuple(_typed(obj["elements"], list, "elements"))
+        for name in names:
+            if not isinstance(name, str):
+                raise ParseError(f"element name {json.dumps(name)} is not a string")
         pos = {name: i for i, name in enumerate(names)}
         if len(pos) != len(names):
             raise ParseError("duplicate element names")

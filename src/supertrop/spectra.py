@@ -5,7 +5,9 @@ carrier a congruence's tangible and ghost clusters partition the
 carrier, so the nu-primes are exactly the l-congruences, and f is
 non-ghost at a point exactly when f lies in its tangible cluster.  The
 points are thus the whole l-congruence family, and their relative
-flags (TanglyMinimal, MaximalL) read the points alone.  Closed sets
+flags (TanglyMinimal, MaximalL) read the points alone.  congr finds
+the points from their candidate ghost clusters, never from the
+congruence lattice.  Closed sets
 are collected by V (primes ghostifying a subset, or containing a
 congruence), basic opens by D, and the congruence of a point set by I.
 Element-set V's are union-stable and form a genuine finite Zariski
@@ -59,8 +61,9 @@ class Spectrum:
     """All nu-prime congruences of a carrier, in canonical order.
 
     A point is known by its index into points, which index_of recovers
-    from the congruence.  The list is enumeration-complete, so
-    membership tests against it are exact.  The order, the index and
+    from the congruence.  The list is complete (the prime search is
+    proved to find every nu-prime), so membership tests against it are
+    exact.  The order, the index and
     the heights are computed on first use and kept on the instance;
     they take no part in equality or hashing.
     """
@@ -121,8 +124,9 @@ class ZSet:
 
 
 def spec(R: FiniteNuSemiring, bound: int = DEFAULT_BOUND) -> Spectrum:
-    """The nu-prime spectrum; like every function here that starts from
-    nu_primes, it checks the size bound before validity."""
+    """The nu-prime spectrum, found from the candidate ghost clusters
+    without the congruence lattice; like every function here that
+    starts from nu_primes, it checks the size bound before validity."""
     return Spectrum(R, nu_primes(R, bound))
 
 

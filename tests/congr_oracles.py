@@ -13,8 +13,14 @@ FiniteNuSemiring.powers_of and computed_prudent each ran on their own.
 They are kept verbatim as differential references.
 
 meet_crad is the library's former crad, the meet of the nu-primes over
-a congruence.  Unlike the others it reads the library's lattice through
+a congruence.  Unlike the others it reads the library's points through
 nu_primes; it is the reference for the closure radical.
+
+flag_family is the lattice that a carrier once kept, filed under every
+flag: the whole lattice under None, and the l-congruences' relative
+flags read from the l-congruences of the lattice.  It reads the
+library's lattice and flags, never its prime search, and is the
+reference for nu_primes, jac and enumerate_congruences by kind.
 
 scan_basic_flags is the library's former _basic_flags, which tested
 NuPrime by a scan over all products landing in the ghost cluster and
@@ -23,6 +29,7 @@ partition lemma that replaced both scans.
 """
 
 import itertools
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from supertrop.congr import (
@@ -37,8 +44,11 @@ from supertrop.congr import (
     FiniteNuSemiring,
     QHom,
     ValidationReport,
+    _all_congruences,
+    _basic_flags,
     _canonical_reps,
     _find,
+    _relative_flags,
     _union,
     check_q_homomorphism,
     computed_prudent,
@@ -537,3 +547,19 @@ def scan_basic_flags(R: FiniteNuSemiring, theta: Congruence) -> set[str]:
     ):
         flags.add(FLAG_DETERMINED)
     return flags
+
+
+# kept per carrier, since spectra_oracles.height asks once per point
+@lru_cache(maxsize=4)
+def flag_family(R: FiniteNuSemiring) -> dict[Optional[str], tuple[Congruence, ...]]:
+    """The lattice under the key None, and filtered by each flag."""
+    lattice = _all_congruences(R)
+    flag_sets = [_basic_flags(R, c) for c in lattice]
+    l_congs = [c for c, flags in zip(lattice, flag_sets) if FLAG_L in flags]
+    family: dict[Optional[str], list[Congruence]] = {}
+    for c, flags in zip(lattice, flag_sets):
+        if FLAG_L in flags:
+            flags |= _relative_flags(c, l_congs)
+        for flag in (None, *flags):
+            family.setdefault(flag, []).append(c)
+    return {flag: tuple(cs) for flag, cs in family.items()}

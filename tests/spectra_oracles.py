@@ -5,13 +5,23 @@ point list: _strictly_below compared every pair of points, the chain
 steps and the Hasse diagram filtered that table, and height rebuilt
 the whole chain table for one point, found by a linear search.  They
 are kept verbatim so that Spectrum.below, Spectrum.heights, krull_dim
-and the Hasse edges can be checked against them.
+and the Hasse edges can be checked against them.  height takes its
+points from the lattice oracle (congr_oracles.flag_family), not from
+the library's prime search.
 """
 
 from typing import Optional, Sequence
 
-from supertrop.congr import DEFAULT_BOUND, Congruence, FiniteNuSemiring, nu_primes
+from supertrop.congr import (
+    DEFAULT_BOUND,
+    FLAG_PRIME,
+    Congruence,
+    FiniteNuSemiring,
+    _require_within,
+)
 from supertrop.errors import PreconditionError
+
+from congr_oracles import flag_family
 
 
 def _strictly_below(points: Sequence[Congruence]) -> list[list[int]]:
@@ -53,7 +63,8 @@ def height(
     R: FiniteNuSemiring, p: Congruence, bound: int = DEFAULT_BOUND
 ) -> int:
     """Longest admissible chain of primes ending at p."""
-    points = nu_primes(R, bound)
+    _require_within(R, bound)
+    points = flag_family(R).get(FLAG_PRIME, ())
     for j, q in enumerate(points):
         if q.reps == p.reps:
             return _longest_to(_chain_edges(points))[j]

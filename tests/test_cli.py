@@ -543,6 +543,27 @@ def test_json_readers_require_arrays_and_objects(capsys):
             assert err.splitlines() == [
                 f"parse error: malformed carrier description: {what}"
             ]
+    # element names are JSON strings: a superboolean whose b0 is null,
+    # spelled "None" elsewhere, or the number 0 is refused up front
+    for name, elsewhere in ((None, "None"), (0, 0)):
+        def swap(x):
+            return elsewhere if x == "b0" else x
+
+        sb = json.loads(to_json(superboolean()))
+        obj = {
+            "elements": [name, "b1", "b1v"],
+            "zero": swap(sb["zero"]), "one": sb["one"],
+            "add": [[swap(x) for x in row] for row in sb["add"]],
+            "mul": [[swap(x) for x in row] for row in sb["mul"]],
+            "nu": {str(name) if k == "b0" else k: swap(v) for k, v in sb["nu"].items()},
+            "tangible": sb["tangible"], "prudent": sb["prudent"],
+        }
+        for verb in ("validate", "spec"):
+            code, out, err = run(capsys, verb, "--semiring", json.dumps(obj))
+            assert (code, out) == (2, ""), name
+            assert err.splitlines() == [
+                f"parse error: element name {json.dumps(name)} is not a string"
+            ]
     for spec, classes, what in (
         ("str-chain:2", [["0"], ["1"], ["1v"], "av"], "a class is not an array"),
         ("str-chain:1", [["0"], "1", ["1v"]], "a class is not an array"),

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import functools
 import gc
 import importlib
 import itertools
@@ -29,6 +30,7 @@ from supertrop.congr import (
     FLAG_Q,
     FLAG_RADICAL,
     FLAG_TANGLY_MINIMAL,
+    FLAGS,
     FiniteNuSemiring,
     QHom,
     ValidationReport,
@@ -85,6 +87,7 @@ from congr_oracles import (
     brute_congruences,
     eager_validate,
     fixpoint_closure,
+    flag_family,
     loop_computed_prudent,
     loop_powers_of,
     meet_crad,
@@ -534,24 +537,43 @@ def test_str_chain_6_lattice():
         assert partition_join(x.reps, y.reps) in family
 
 
+def holds_congruence(value) -> bool:
+    """Whether a value is or contains a Congruence, through dicts,
+    tuples, sets and dataclass fields."""
+    if isinstance(value, Congruence):
+        return True
+    if isinstance(value, dict):
+        return any(map(holds_congruence, [*value, *value.values()]))
+    if isinstance(value, (tuple, list, set, frozenset)):
+        return any(map(holds_congruence, value))
+    if dataclasses.is_dataclass(value):
+        return any(map(holds_congruence, vars(value).values()))
+    return False
+
+
 def test_lattice_caches_are_bounded():
-    # each copy keeps its report and lattice on itself, and the
-    # lattice's congruences point back at it: a cycle that refcounting
-    # alone never frees, so the collector must
+    # each copy keeps its report, principals and points on itself as
+    # plain data, and no Congruence, so nothing it holds points back at
+    # it: refcounting alone frees a dropped copy, with the collector off
     R = str_chain(3)
     refs = []
-    for k in range(40):
-        copy = FiniteNuSemiring(
-            tuple(f"{s}.{k}" for s in R.names), R.zero, R.one,
-            R.add_table, R.mul_table, R.nu_table, R.tangible, R.prudent,
-        )
-        require_valid(copy)
-        enumerate_congruences(copy)
-        assert {"validity", "_flag_family"} <= set(vars(copy))
-        refs.append(weakref.ref(copy))
-    del copy
-    gc.collect()
-    assert [ref() for ref in refs] == [None] * 40
+    gc.disable()
+    try:
+        for k in range(40):
+            copy = FiniteNuSemiring(
+                tuple(f"{s}.{k}" for s in R.names), R.zero, R.one,
+                R.add_table, R.mul_table, R.nu_table, R.tangible, R.prudent,
+            )
+            require_valid(copy)
+            enumerate_congruences(copy)
+            assert len(spec(copy).points) == 4
+            assert {"validity", "_principals", "_primes"} <= set(vars(copy))
+            assert not any(map(holds_congruence, vars(copy).values()))
+            refs.append(weakref.ref(copy))
+        del copy
+        assert [ref() for ref in refs] == [None] * 40
+    finally:
+        gc.enable()
 
 
 def test_no_module_holds_an_lru_cache():
@@ -566,7 +588,25 @@ def test_no_module_holds_an_lru_cache():
             assert not any(hasattr(v, "cache_clear") for v in held), name
 
 
+def counted_property(monkeypatch, name: str) -> list:
+    """Patch a cached property of FiniteNuSemiring to log each carrier
+    it is computed for; returns the log."""
+    computed = []
+    func = vars(FiniteNuSemiring)[name].func
+
+    def counted(R):
+        computed.append(R)
+        return func(R)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(FiniteNuSemiring, name)
+    monkeypatch.setattr(FiniteNuSemiring, name, prop)
+    return computed
+
+
 def test_validity_and_lattice_are_computed_once_per_carrier(monkeypatch):
+    # the report, the principals and the points are kept on each
+    # carrier object; the lattice is deliberately kept nowhere
     battery, lattices = [], []
     all_congruences = congr._all_congruences
 
@@ -580,6 +620,8 @@ def test_validity_and_lattice_are_computed_once_per_carrier(monkeypatch):
 
     monkeypatch.setattr(congr, "validate", counted_validate)
     monkeypatch.setattr(congr, "_all_congruences", counted_lattice)
+    principals = counted_property(monkeypatch, "_principals")
+    points = counted_property(monkeypatch, "_primes")
     R = str_chain(3)
     equal = dataclasses.replace(R)
     renamed = FiniteNuSemiring(
@@ -590,9 +632,13 @@ def test_validity_and_lattice_are_computed_once_per_carrier(monkeypatch):
         require_valid(carrier)
         require_valid(carrier)
         assert enumerate_congruences(carrier) == enumerate_congruences(carrier)
-        assert battery[-1] is carrier and lattices[-1] is carrier
-    # an equal but distinct carrier computes its own report and lattice
-    assert len(battery) == len(lattices) == 3
+        assert nu_primes(carrier) == nu_primes(carrier)
+        for log in (battery, lattices, principals, points):
+            assert log[-1] is carrier
+    # an equal but distinct carrier computes its own report, principals
+    # and points; each enumeration builds the lattice again
+    assert len(battery) == len(principals) == len(points) == 3
+    assert len(lattices) == 6
 
 
 def test_flag_family_matches_classify():
@@ -1078,19 +1124,48 @@ def test_clusters_partition_and_flags_match_the_scans():
     for R in carriers:
         bound = max(R.size, DEFAULT_BOUND)
         everything = frozenset(range(R.size))
+        l_congs = []
         for theta in enumerate_congruences(R, bound):
             assert theta.iT | theta.iG == everything, (R.names, theta.reps)
             assert not theta.iT & theta.iG, (R.names, theta.reps)
             flags = congr._basic_flags(R, theta)
             assert flags == scan_basic_flags(R, theta), (R.names, theta.reps)
+            if FLAG_L in flags:
+                l_congs.append(theta.reps)
             checked += 1
-        family = R._flag_family
-        assert family.get(FLAG_L) == family.get(FLAG_PRIME), R.names
+        # the points are the lattice's l-congruences, in the same order
+        assert [p.reps for p in nu_primes(R, bound)] == l_congs, R.names
     assert len(carriers) == 110 and checked > 3000
 
 
+def test_points_and_flags_match_the_lattice_oracle():
+    # the prime search, jac and every filtered enumeration against the
+    # lattice filed by flag that each carrier once kept
+    rng = random.Random(26)
+    carriers = list(wide_corpus())
+    carriers += [
+        permute_semiring(R, rng.sample(range(R.size), R.size)) for R in carriers
+    ]
+    carriers += [build(n) for n in range(1, 8) for build in (str_chain, str_trunc)]
+    points = 0
+    for R in carriers:
+        bound = max(R.size, DEFAULT_BOUND)
+        family = flag_family(R)
+        assert nu_primes(R, bound) == family.get(FLAG_PRIME, ()), R.names
+        for kind in FLAGS:
+            expected = family.get(kind, ())
+            assert enumerate_congruences(R, bound, kind) == expected, (R.names, kind)
+        maximal = family.get(FLAG_MAXIMAL_L, ())
+        for theta in (diagonal(R), *family.get(FLAG_PRIME, ())):
+            over = [c for c in maximal if theta.refines(c)]
+            expected = cong_intersect(*over) if over else EMPTY_RADICAL
+            assert jac(R, theta, bound) == expected, (R.names, theta.reps)
+        points += len(family.get(FLAG_PRIME, ()))
+    assert len(carriers) == 112 and points > 900
+
+
 def test_radicals_never_build_the_lattice(monkeypatch):
-    # fresh copies of the shared corpus, so no lattice is cached on them
+    # fresh copies of the shared corpus, so no points are kept on them
     carriers = [(dataclasses.replace(R), R.size) for R in wide_corpus()]
     carriers.append((str_chain(12), 25))
 
@@ -1099,7 +1174,7 @@ def test_radicals_never_build_the_lattice(monkeypatch):
 
     monkeypatch.setattr(congr, "_all_congruences", no_lattice)
     for R, bound in carriers:
-        assert "_flag_family" not in vars(R), R.names
+        assert "_primes" not in vars(R), R.names
         rad = srad(R, (), bound)
         assert rad.iG == gprad(R), R.names
         assert FLAG_RADICAL in classify(R, rad, 0)
@@ -1109,6 +1184,8 @@ def test_radicals_never_build_the_lattice(monkeypatch):
             assert rcl(R, [a], bound) == (
                 frozenset() if rad_a is EMPTY_RADICAL else rad_a.iG
             )
+        # nor do they search for the points
+        assert "_primes" not in vars(R), R.names
     with pytest.raises(AssertionError):
         enumerate_congruences(str_chain(12), 25)
 

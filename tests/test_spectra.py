@@ -11,6 +11,7 @@ from supertrop import congr, spectra
 from supertrop.congr import (
     DEFAULT_BOUND,
     EMPTY_RADICAL,
+    FLAG_PRIME,
     FiniteNuSemiring,
     QHom,
     all_pairs,
@@ -940,17 +941,50 @@ def test_spectrum_flags_need_neither_lattice_nor_bound(monkeypatch):
         name: spec(R, max(R.size, DEFAULT_BOUND)) for name, R in carriers.items()
     }
 
-    def no_lattice(R):
-        raise AssertionError("spectrum_to_json built the congruence lattice")
+    def no_lattice(*args):
+        raise AssertionError("spectrum_to_json searched the congruences")
 
-    # spec built each carrier's lattice; drop it, so a read rebuilds it
+    # spec found each carrier's points; drop them, so that a read would
+    # search again, and make both the lattice and the search raise
     for S in spectra_by_name.values():
-        del vars(S.carrier)["_flag_family"]
+        del vars(S.carrier)["_primes"]
     monkeypatch.setattr(congr, "_all_congruences", no_lattice)
+    monkeypatch.setattr(congr, "_joins", no_lattice)
     assert set(spectra_by_name) == set(SPECTRUM_JSON_DIGESTS)
     for name, S in spectra_by_name.items():
         dumped = spectrum_to_json(S).encode()
         assert hashlib.sha256(dumped).hexdigest() == SPECTRUM_JSON_DIGESTS[name]
+
+
+def test_spectrum_paths_never_build_the_lattice(monkeypatch):
+    # the points come from the prime search; only congs and nullcheck
+    # without a congruence build the lattice
+    carriers = [(R, R.size) for R in wide_corpus()]
+    carriers.append((str_chain(9), 19))
+
+    def no_lattice(R):
+        raise AssertionError("a spectrum path built the congruence lattice")
+
+    monkeypatch.setattr(congr, "_all_congruences", no_lattice)
+    for R, bound in carriers:
+        S = spec(R, bound)
+        assert spectrum_to_json(S) == spectrum_to_json(S, bound)
+        assert krull_check(R, bound).passed, R.names
+        # every point of a small spectrum, and 16 of a large one
+        step = max(1, len(S.points) // 16)
+        for x in range(0, len(S.points), step):
+            p = S.points[x]
+            assert FLAG_PRIME in classify(R, p, bound)
+            assert nullstellensatz_check(R, p, bound).passed, R.names
+            assert p.refines(jac(R, p, bound)), R.names
+            assert stalk(S, x).size >= 1
+        for f in range(R.size):
+            assert sections(S, f).size >= 1
+        assert jac(R, diagonal(R), bound) is not EMPTY_RADICAL
+        assert nullstellensatz_check(R, diagonal(R), bound).passed
+    assert len(S.points) == 256
+    with pytest.raises(AssertionError):
+        enumerate_congruences(R, bound)
 
 
 def test_spectrum_json_shape():

@@ -171,14 +171,11 @@ def _cmd_validate(args: argparse.Namespace) -> Payload:
 
 def _cmd_congs(args: argparse.Namespace) -> Payload:
     R = _load_semiring(args)
-    thetas = congr.enumerate_congruences(R, args.bound, args.kind)
-    items = [
-        {
-            "classes": congr.class_names(theta),
-            "flags": sorted(congr.classify(R, theta, args.bound)),
-        }
-        for theta in thetas
-    ]
+    items = []
+    for theta in congr.enumerate_congruences(R, args.bound):
+        flags = congr.classify(R, theta, args.bound)
+        if args.kind is None or args.kind in flags:
+            items.append({"classes": congr.class_names(theta), "flags": sorted(flags)})
     return _dumps({"count": len(items), "congruences": items})
 
 
@@ -190,10 +187,10 @@ def _cmd_spec(args: argparse.Namespace) -> Payload:
 def _cmd_radical(args: argparse.Namespace) -> Payload:
     R = _load_semiring(args)
     if args.elements is not None:
-        result = congr.srad(R, _element_list(R, args.elements), args.bound)
+        result = congr.srad(R, _element_list(R, args.elements))
     else:
         theta = _load_congruence(R, args.congruence)
-        result = congr.crad(R, theta, args.bound)
+        result = congr.crad(R, theta)
     if result is None:
         return _dumps({"classes": None})
     return congr.cong_to_json(result)

@@ -29,7 +29,8 @@ the same size bound.  A carrier object computes its validity report,
 its principals and its points once, on first use, as plain ints that
 are freed with it; an equal but distinct carrier computes its own.
 The nu-radicals need no lattice either: each is a closure that
-ghostifies ghostpotent elements until none is left.
+ghostifies ghostpotent elements until none is left, so no size bound
+caps them.
 """
 
 from __future__ import annotations
@@ -729,8 +730,10 @@ def enumerate_congruences(
 
 
 def _require_within(R: FiniteNuSemiring, bound: int) -> None:
-    """The size bound, checked before validity, which cong_closure
-    needs: it translates pairs on the right only."""
+    """Gate of the two exponential searches, the lattice in
+    enumerate_congruences and the points in nu_primes: the size bound,
+    then validity, which cong_closure needs since it translates pairs
+    on the right only."""
     if R.size > bound:
         raise BoundError(
             f"carrier has {R.size} elements, enumeration bound is {bound}"
@@ -909,11 +912,7 @@ def nu_primes(
     return tuple(Congruence(R, reps) for reps in R._primes)
 
 
-def crad(
-    R: FiniteNuSemiring,
-    theta: Congruence,
-    bound: int = DEFAULT_BOUND,
-) -> Optional[Congruence]:
+def crad(R: FiniteNuSemiring, theta: Congruence) -> Optional[Congruence]:
     """Radical of theta: the least radical q-congruence above it, or
     None when a unit's class leaves the tangible cluster on the way.
 
@@ -921,7 +920,6 @@ def crad(
     power in iG(theta) but are not in it, until none is left, which is
     exactly when theta carries the Radical flag.  iT only shrinks as
     theta grows, so once a unit leaves it no later step brings it back.
-    The size bound is only a gate here: no lattice is built.
 
     The classical relation is that this is the meet of the nu-primes
     containing theta.  Half of it is proved.  Let P be a q-congruence
@@ -945,7 +943,7 @@ def crad(
     is checked against the meet of the primes on the test corpora.
     """
     _require_on(R, theta)
-    _require_within(R, bound)
+    require_valid(R)
     while R.units <= theta.iT:
         grown = ghostpotent_over(R, theta.iG) - theta.iG
         if not grown:
@@ -954,14 +952,10 @@ def crad(
     return EMPTY_RADICAL
 
 
-def srad(
-    R: FiniteNuSemiring,
-    elements: Iterable[int],
-    bound: int = DEFAULT_BOUND,
-) -> Optional[Congruence]:
+def srad(R: FiniteNuSemiring, elements: Iterable[int]) -> Optional[Congruence]:
     """Radical of a ghostified element set: crad of ghostify(R,
     elements)."""
-    return crad(R, ghostify(R, elements), bound)
+    return crad(R, ghostify(R, elements))
 
 
 def ghostpotent_over(R: FiniteNuSemiring, G: frozenset[int]) -> frozenset[int]:

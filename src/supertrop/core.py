@@ -7,8 +7,8 @@ layer; a tie of nu-values produces the ghost of the shared value.  "Being
 ghost" plays the role classically played by "being zero".
 
 Elements live over a small ordered value monoid: the rationals under addition
-(max-plus in logarithmic notation, where 1 = 0 and 0 = -inf), a finite chain
-{0..n-1} with an explicit commutative operation, or the one-point monoid whose
+(max-plus in logarithmic notation, where 1 = 0 and 0 = -inf) or a finite chain
+{0..n-1} with an explicit commutative operation; the one-point chain's
 supertropical extension is the superboolean semifield {0, 1, 1v}.
 
 Everything is exact.  Rational values are fractions.Fraction, never floats.
@@ -41,10 +41,10 @@ class NuOrder(Enum):
 class ValueMonoid:
     """An ordered commutative monoid of values.
 
-    kind is one of "rational" (exact rationals under addition), "chain"
-    (carrier {0..size-1}, operation given by an explicit table, natural
-    order) or "trivial" (one element).  The order must respect the
-    operation; chain tables are checked exhaustively on construction.
+    kind is one of "rational" (exact rationals under addition) or
+    "chain" (carrier {0..size-1}, operation given by an explicit table,
+    natural order).  The order must respect the operation; chain tables
+    are checked exhaustively on construction.
     """
 
     kind: str
@@ -71,7 +71,7 @@ class ValueMonoid:
                     for k in range(n):
                         if t[i][k] > t[j][k]:
                             raise ValueError("chain monoid table not order compatible")
-        elif self.kind not in ("rational", "trivial"):
+        elif self.kind != "rational":
             raise ValueError(f"unknown value monoid kind {self.kind!r}")
 
     @property
@@ -81,9 +81,7 @@ class ValueMonoid:
     def op(self, v, w):
         if self.kind == "rational":
             return v + w
-        if self.kind == "chain":
-            return self.table[v][w]
-        return 0
+        return self.table[v][w]
 
     def invertible(self, v) -> bool:
         return self.kind != "chain" or any(
@@ -106,7 +104,6 @@ class ValueMonoid:
 
 
 RATIONAL = ValueMonoid("rational")
-TRIVIAL = ValueMonoid("trivial", size=1)
 
 
 def chain_monoid(n: int, op: str = "trunc") -> ValueMonoid:
@@ -119,6 +116,9 @@ def chain_monoid(n: int, op: str = "trunc") -> ValueMonoid:
     else:
         raise ValueError(f"unknown chain op {op!r}")
     return ValueMonoid("chain", size=n, table=table)
+
+
+TRIVIAL = chain_monoid(1)
 
 
 @dataclass(frozen=True)

@@ -217,14 +217,10 @@ def irreducible(
     return FLAG_PRIME in _basic_flags(S.carrier, theta)
 
 
-def rcl(
-    R: FiniteNuSemiring,
-    elements: Iterable[int],
-    bound: int = DEFAULT_BOUND,
-) -> frozenset[int]:
+def rcl(R: FiniteNuSemiring, elements: Iterable[int]) -> frozenset[int]:
     """Radical closure of an element set: the ghost cluster of its
     s-radical, or the empty set when no prime ghostifies it."""
-    rad = srad(R, elements, bound)
+    rad = srad(R, elements)
     return frozenset() if rad is None else rad.iG
 
 
@@ -367,7 +363,7 @@ def krull_check(R: FiniteNuSemiring, bound: int = DEFAULT_BOUND) -> CheckReport:
     it is None, and its ghost cluster and the points' common ghost
     cluster both collect exactly the ghostpotents."""
     points = nu_primes(R, bound)
-    rad = srad(R, (), bound)
+    rad = srad(R, ())
     ghostpotent = gprad(R)
     failures = []
     if points:

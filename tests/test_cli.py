@@ -280,6 +280,20 @@ def test_congs_counts_and_kind_filter(capsys):
     assert all("NuPrime" in c["flags"] for c in obj["congruences"])
 
 
+def test_congs_kind_filters_the_full_listing(capsys):
+    carriers = [["--semiring", "str-chain:4", "--bound", "9"]]
+    carriers += [["--semiring", name] for name, _ in bundled_suite()]
+    for carrier in carriers:
+        code, out, _ = run(capsys, "congs", *carrier)
+        assert code == 0, carrier
+        listing = json.loads(out)["congruences"]
+        for kind in congr.FLAGS:
+            kept = [c for c in listing if kind in c["flags"]]
+            code, out, err = run(capsys, "congs", *carrier, "--kind", kind)
+            assert (code, err) == (0, ""), (carrier, kind)
+            assert json.loads(out) == {"count": len(kept), "congruences": kept}
+
+
 def test_radical_of_elements(capsys):
     code, out, _ = run(
         capsys, "radical", "--semiring", "str-chain:2", "--elements", "a"
@@ -355,7 +369,8 @@ def test_stalk(capsys):
 # reproduce byte for byte: the README examples, a str-chain:4 case of
 # each verb, a localization with a collision class, and a stalk that
 # inverts a non-unit; then congs and spec on str-chain:4, whose classes
-# list their members in index order, not in name order
+# list their members in index order, not in name order; and the radical
+# of an element of the 65-element str-chain:32, which no size bound caps
 CARRIER_GOLDENS = [
     (
         ["quotient", "--semiring", "str-chain:2", "--congruence",
@@ -409,6 +424,10 @@ CARRIER_GOLDENS = [
     (
         ["spec", "--semiring", "str-chain:4", "--bound", "9"],
         "f4ab43b80c6f40d39843bd8d0ae1e910e4b38b359b9ad4ab50a2f5a5ba979130",
+    ),
+    (
+        ["radical", "--semiring", "str-chain:32", "--elements", "a"],
+        "7934f3c600d9a6a5bf9643635f4c454f4c9c9b566b9483598c28977ac99065bb",
     ),
 ]
 
@@ -639,8 +658,6 @@ def test_size_bound_is_checked_before_validity(capsys):
         for argv, code in (
             (["congs"], bounded_code),
             (["spec"], bounded_code),
-            (["radical", "--elements", "1"], bounded_code),
-            (["radical", "--congruence", diagonal], bounded_code),
             (["sections", "--element", "1"], bounded_code),
             (["stalk", "--point", "0"], bounded_code),
             (["nullcheck"], bounded_code),
@@ -649,12 +666,43 @@ def test_size_bound_is_checked_before_validity(capsys):
             # no enumeration, so no size bound
             (["quotient", "--congruence", diagonal], 3),
             (["localize", "--monoid", "1"], 3),
+            (["radical", "--elements", "1"], 3),
+            (["radical", "--congruence", diagonal], 3),
         ):
             got, out, err = run(capsys, *argv, "--semiring", json.dumps(obj))
             assert (got, out) == (code, ""), (len(obj["elements"]), argv)
             assert len(err.splitlines()) == 1, argv
             prefix = "enumeration bound" if code == 4 else "precondition"
             assert err.startswith(prefix), argv
+
+
+def test_only_the_enumerating_verbs_cap_a_valid_carrier(capsys):
+    # str-chain:4 passes validation with 9 elements, over the default
+    # bound of 7; a verb the bound does not cap answers as at bound 9
+    obj = json.loads(to_json(str_chain(4)))
+    diagonal = json.dumps({"classes": [[x] for x in obj["elements"]]})
+    for argv, code in (
+        (["congs"], 4),
+        (["spec"], 4),
+        (["sections", "--element", "a"], 4),
+        (["stalk", "--point", "0"], 4),
+        (["nullcheck"], 4),
+        (["nullcheck", "--congruence", diagonal], 4),
+        (["krullcheck"], 4),
+        (["validate"], 0),
+        (["quotient", "--congruence", diagonal], 0),
+        (["localize", "--monoid", "1"], 0),
+        (["radical", "--elements", "a"], 0),
+        (["radical", "--congruence", diagonal], 0),
+    ):
+        got, out, err = run(capsys, *argv, "--semiring", "str-chain:4")
+        if code == 4:
+            assert (got, out) == (4, ""), argv
+            assert err.startswith("enumeration bound exceeded"), argv
+        else:
+            bounded = run(capsys, *argv, "--semiring", "str-chain:4", "--bound", "9")
+            assert (got, out, err) == bounded, argv
+            assert (got, err) == (0, "") and out, argv
 
 
 def test_spec_stops_an_oversize_carrier_before_validating(capsys, monkeypatch):

@@ -1102,7 +1102,7 @@ def test_crad_is_the_meet_of_primes():
         radical = {c.reps for c in enumerate_congruences(R, bound, FLAG_RADICAL)}
         q_congs = {c.reps for c in enumerate_congruences(R, bound, FLAG_Q)}
         for theta in enumerate_congruences(R, bound):
-            rad = crad(R, theta, bound)
+            rad = crad(R, theta)
             assert rad == meet_crad(R, theta, bound), (R.names, theta.reps)
             if theta.reps in q_congs:
                 assert (theta.reps in radical) == (rad == theta), theta.reps
@@ -1165,29 +1165,37 @@ def test_points_and_flags_match_the_lattice_oracle():
 
 
 def test_radicals_never_build_the_lattice(monkeypatch):
-    # fresh copies of the shared corpus, so no points are kept on them
-    carriers = [(dataclasses.replace(R), R.size) for R in wide_corpus()]
-    carriers.append((str_chain(12), 25))
+    # fresh copies of the shared corpus, so no points are kept on them,
+    # and str-chain:12, whose 25 elements are over the default bound
+    carriers = [dataclasses.replace(R) for R in wide_corpus()]
+    carriers.append(str_chain(12))
 
     def no_lattice(R):
         raise AssertionError("a radical built the congruence lattice")
 
+    def no_bound(R, bound):
+        raise AssertionError("a radical checked the size bound")
+
     monkeypatch.setattr(congr, "_all_congruences", no_lattice)
-    for R, bound in carriers:
+    monkeypatch.setattr(congr, "_require_within", no_bound)
+    for R in carriers:
         assert "_primes" not in vars(R), R.names
-        rad = srad(R, (), bound)
+        rad = srad(R, ())
         assert rad.iG == gprad(R), R.names
         assert FLAG_RADICAL in classify(R, rad, 0)
-        assert crad(R, diagonal(R), bound) == rad
+        assert crad(R, diagonal(R)) == rad
         for a in range(R.size):
-            rad_a = srad(R, [a], bound)
-            assert rcl(R, [a], bound) == (
+            rad_a = srad(R, [a])
+            assert rcl(R, [a]) == (
                 frozenset() if rad_a is EMPTY_RADICAL else rad_a.iG
             )
         # nor do they search for the points
         assert "_primes" not in vars(R), R.names
-    with pytest.raises(AssertionError):
+    # both searches still check the bound
+    with pytest.raises(AssertionError, match="size bound"):
         enumerate_congruences(str_chain(12), 25)
+    with pytest.raises(AssertionError, match="size bound"):
+        nu_primes(str_chain(12), 25)
 
 
 # -- homomorphisms ---------------------------------------------------------

@@ -171,9 +171,11 @@ def _cmd_validate(args: argparse.Namespace) -> Payload:
 
 def _cmd_congs(args: argparse.Namespace) -> Payload:
     R = _load_semiring(args)
+    congs = congr.enumerate_congruences(R, args.bound)
+    S = spectra.spec(R, args.bound)
     items = []
-    for theta in congr.enumerate_congruences(R, args.bound):
-        flags = congr.classify(R, theta, args.bound)
+    for theta in congs:
+        flags = S.flags_of(theta)
         if args.kind is None or args.kind in flags:
             items.append({"classes": congr.class_names(theta), "flags": sorted(flags)})
     return _dumps({"count": len(items), "congruences": items})

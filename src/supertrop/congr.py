@@ -9,8 +9,8 @@ Congruences replace ideals here: the ghost cluster iG (elements
 identified with their own ghost) plays the role of the vanishing set,
 and the tangible cluster iT collects elements whose whole class stays
 tangible.  On a valid carrier the two clusters partition the carrier
-(the proof is in _basic_flags), as a prime ideal and its complement
-do.  The classifier below recognizes the useful kinds: the
+(the proof is in classify), as a prime ideal and its complement do.
+classify recognizes the kinds that a congruence decides alone: the
 q-congruences keep every unit's class tangible, the l-congruences have
 a multiplicatively closed iT, and the nu-primes forbid ghost products
 of non-ghost factors.  By the partition, the nu-primes are exactly the
@@ -23,8 +23,9 @@ diagonal the search reaches the whole congruence lattice, at a cost in
 the number of congruences rather than of set partitions; it is built
 anew on each enumeration and kept nowhere.  From the ghostify of each
 candidate ghost cluster it reaches exactly the nu-primes (the proof is
-in FiniteNuSemiring._primes), so the points, the maximality flags and
-the Jacobson radical need no lattice.  Both stay exact and gated by
+in FiniteNuSemiring._primes), so the points need no lattice, nor do
+the flags relative to them and the Jacobson radical, which spectra
+reads from them.  Both stay exact and gated by
 the same size bound.  A carrier object computes its validity report,
 its principals and its points once, on first use, as plain ints that
 are freed with it; an equal but distinct carrier computes its own.
@@ -175,7 +176,7 @@ class FiniteNuSemiring:
 
         Every nu-prime theta is found.  iG(theta) is an ideal (a ~ nu(a)
         gives ab ~ nu(a)b = nu(ab)), so its complement iT(theta) (the
-        partition lemma in _basic_flags) is saturated: ab in iT puts a
+        partition lemma in classify) is saturated: ab in iT puts a
         and b in iT.  iT is multiplicatively closed, since theta is an
         l-congruence, and holds 1.  A saturated multiplicative set T of
         a finite commutative monoid is F(m) for m the product of T
@@ -648,10 +649,13 @@ def _all_congruences(R: FiniteNuSemiring) -> tuple[Congruence, ...]:
     return tuple(Congruence(R, reps) for reps in sorted(lattice))
 
 
-def _basic_flags(R: FiniteNuSemiring, theta: Congruence) -> set[str]:
-    """The flags that read theta alone, on a valid carrier.
+def classify(R: FiniteNuSemiring, theta: Congruence) -> frozenset[str]:
+    """The flags that theta decides alone, for a congruence of a valid
+    carrier.  TanglyMinimal and MaximalL are relative to the whole
+    l-congruence family, the points, so Spectrum.flags_of adds them;
+    nothing here searches.
 
-    They rest on one lemma: iT(theta) and iG(theta) partition the
+    The flags rest on one lemma: iT(theta) and iG(theta) partition the
     carrier.  Every element is tangible or in ghost0: tame writes any
     other element m as c + nu(d) with c and d tangible, and
     nu-order-total, nm-dominance and nm-tie put that sum in
@@ -666,6 +670,8 @@ def _basic_flags(R: FiniteNuSemiring, theta: Congruence) -> set[str]:
     iG(theta) = ghost0, since ghost0 always lies in iG and a class
     outside iT lies in iG.
     """
+    _require_on(R, theta)
+    require_valid(R)
     iT, iG = theta.iT, theta.iG
     flags: set[str] = set()
     if theta.contains(R.one, R.nu(R.one)):
@@ -679,40 +685,6 @@ def _basic_flags(R: FiniteNuSemiring, theta: Congruence) -> set[str]:
         flags.add(FLAG_RADICAL)
     if iG == R.ghost0:
         flags.add(FLAG_DETERMINED)
-    return flags
-
-
-def _relative_flags(
-    theta: Congruence, l_congs: Sequence[Congruence]
-) -> set[str]:
-    """TanglyMinimal and MaximalL of an l-congruence: no member of the
-    l-congruence family has a strictly smaller tangible cluster, and
-    none lies strictly above theta."""
-    flags: set[str] = set()
-    if not any(c.iT < theta.iT for c in l_congs):
-        flags.add(FLAG_TANGLY_MINIMAL)
-    if not any(theta.refines(c) and c.reps != theta.reps for c in l_congs):
-        flags.add(FLAG_MAXIMAL_L)
-    return flags
-
-
-def classify(
-    R: FiniteNuSemiring,
-    theta: Congruence,
-    bound: int = DEFAULT_BOUND,
-) -> frozenset[str]:
-    """Flag set for a congruence of a valid carrier.
-
-    The two flags relative to the whole l-congruence family
-    (TanglyMinimal, MaximalL) are read from the points, which are that
-    family, and are only emitted when the carrier is within the bound.
-    No lattice is built.
-    """
-    _require_on(R, theta)
-    require_valid(R)
-    flags = _basic_flags(R, theta)
-    if FLAG_L in flags and R.size <= bound:
-        flags |= _relative_flags(theta, nu_primes(R, bound))
     return frozenset(flags)
 
 
@@ -722,10 +694,13 @@ def enumerate_congruences(
     kind: Optional[str] = None,
 ) -> tuple[Congruence, ...]:
     """All congruences, optionally only those that classify flags with
-    kind; the lattice is built on every call."""
+    kind; the lattice is built on every call.  The flags relative to
+    the points are the spectrum's, so they are no kind here."""
+    if kind in (FLAG_TANGLY_MINIMAL, FLAG_MAXIMAL_L):
+        raise PreconditionError(f"{kind} is relative to the spectrum: use Spectrum.flags_of")
     _require_within(R, bound)
     return tuple(
-        c for c in _all_congruences(R) if kind is None or kind in classify(R, c, bound)
+        c for c in _all_congruences(R) if kind is None or kind in classify(R, c)
     )
 
 
@@ -898,8 +873,8 @@ def localize_finite(
 
 # what crad and srad return when a unit's class leaves the tangible
 # cluster, the same as no nu-prime containing theta (crad proves one
-# direction, the tests check the other); and what jac returns when no
-# maximal l-congruence contains theta
+# direction, the tests check the other); and what spectra.jac returns
+# when no maximal l-congruence contains theta
 EMPTY_RADICAL = None
 
 
@@ -966,23 +941,6 @@ def ghostpotent_over(R: FiniteNuSemiring, G: frozenset[int]) -> frozenset[int]:
 def gprad(R: FiniteNuSemiring) -> frozenset[int]:
     """Ghostpotent elements: some power falls into the ghost ideal."""
     return ghostpotent_over(R, R.ghost0)
-
-
-def jac(
-    R: FiniteNuSemiring,
-    theta: Congruence,
-    bound: int = DEFAULT_BOUND,
-) -> Optional[Congruence]:
-    """Intersection of the maximal l-congruences containing theta; None
-    when no maximal l-congruence contains theta.  The l-congruences are
-    the points, so the maximal ones are read from them."""
-    _require_on(R, theta)
-    points = nu_primes(R, bound)
-    containing = [
-        c for c in points
-        if theta.refines(c) and FLAG_MAXIMAL_L in _relative_flags(c, points)
-    ]
-    return cong_intersect(*containing) if containing else EMPTY_RADICAL
 
 
 # -- homomorphisms ------------------------------------------------------

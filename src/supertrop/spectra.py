@@ -4,11 +4,11 @@ The points of the spectrum are the nu-prime congruences.  On a valid
 carrier a congruence's tangible and ghost clusters partition the
 carrier, so the nu-primes are exactly the l-congruences, and f is
 non-ghost at a point exactly when f lies in its tangible cluster.  The
-points are thus the whole l-congruence family, and their relative
-flags (TanglyMinimal, MaximalL) read the points alone.  congr finds
-the points from their candidate ghost clusters, never from the
-congruence lattice.  Closed sets
-are collected by V (primes ghostifying a subset, or containing a
+points are thus the whole l-congruence family: the flags relative to
+it (TanglyMinimal, MaximalL, in Spectrum.flags_of) and the Jacobson
+radical (jac) read the points alone.  congr finds the points from
+their candidate ghost clusters, never from the congruence lattice.
+Closed sets are collected by V (primes ghostifying a subset, or containing a
 congruence), basic opens by D, and the congruence of a point set by I.
 Element-set V's are union-stable and form a genuine finite Zariski
 topology with the D(f) as basis.  Congruence V's are finer: V and I
@@ -17,15 +17,15 @@ union-stable (two primes may share a ghost cluster yet differ by a
 merge of tangibles, and only the congruence family separates them).
 Dimension counts chains of primes whose tangible clusters strictly
 shrink at every step.  A Spectrum computes its inclusion order, its
-point index and its heights once, on first use.
+point index, its maximal points and its heights once, on first use.
 
 Sections over a basic open D(f) are computed by localizing at the
 monoid S(f) spanned by the prudent non-ghost-divisors h with
 D(f) <= D(h) together with the powers of f when f is prudent; the
 stalk at a point localizes at the point's tangible cluster.  The
-check functions at the bottom set the points against what needs no
-point (the radical closure and the ghostpotent elements) and return
-small reports instead of raising.
+check functions at the bottom set I and V of the points against what
+needs no point (the radical closure and the ghostpotent elements) and
+return small reports instead of raising.
 """
 
 from __future__ import annotations
@@ -38,14 +38,16 @@ from typing import Iterable, Optional, Union
 from .congr import (
     Congruence,
     DEFAULT_BOUND,
+    EMPTY_RADICAL,
+    FLAG_MAXIMAL_L,
     FLAG_PRIME,
+    FLAG_TANGLY_MINIMAL,
     FiniteNuSemiring,
-    _basic_flags,
     _in_range,
-    _relative_flags,
     _require_on,
     all_pairs,
     class_names,
+    classify,
     cong_intersect,
     ghostpotent_over,
     gprad,
@@ -63,9 +65,9 @@ class Spectrum:
     A point is known by its index into points, which index_of recovers
     from the congruence.  The list is complete (the prime search is
     proved to find every nu-prime), so membership tests against it are
-    exact.  The order, the index and
-    the heights are computed on first use and kept on the instance;
-    they take no part in equality or hashing.
+    exact.  The order, the index, the maximal points and the heights
+    are computed on first use and kept on the instance; they take no
+    part in equality or hashing.
     """
 
     carrier: FiniteNuSemiring
@@ -90,6 +92,26 @@ class Spectrum:
             )
             for j, q in enumerate(self.points)
         )
+
+    @cached_property
+    def maximal(self) -> frozenset[int]:
+        """The points that lie strictly inside no point."""
+        return frozenset(
+            j for j, p in enumerate(self.points)
+            if not any(i != j and p.refines(q) for i, q in enumerate(self.points))
+        )
+
+    def flags_of(self, theta: Congruence) -> frozenset[str]:
+        """classify's flags of theta, and for a point the two relative
+        to the points: TanglyMinimal when no point has a smaller
+        tangible cluster, MaximalL when no point lies above it."""
+        flags = set(classify(self.carrier, theta))
+        j = self._index.get(theta.reps)
+        if j is not None and not any(p.iT < theta.iT for p in self.points):
+            flags.add(FLAG_TANGLY_MINIMAL)
+        if j in self.maximal:
+            flags.add(FLAG_MAXIMAL_L)
+        return frozenset(flags)
 
     @cached_property
     def heights(self) -> tuple[int, ...]:
@@ -214,7 +236,7 @@ def irreducible(
         raise PreconditionError("irreducibility is only defined for closed sets")
     if not members:
         return False
-    return FLAG_PRIME in _basic_flags(S.carrier, theta)
+    return FLAG_PRIME in classify(S.carrier, theta)
 
 
 def rcl(R: FiniteNuSemiring, elements: Iterable[int]) -> frozenset[int]:
@@ -222,6 +244,19 @@ def rcl(R: FiniteNuSemiring, elements: Iterable[int]) -> frozenset[int]:
     s-radical, or the empty set when no prime ghostifies it."""
     rad = srad(R, elements)
     return frozenset() if rad is None else rad.iG
+
+
+def jac(
+    R: FiniteNuSemiring,
+    theta: Congruence,
+    bound: int = DEFAULT_BOUND,
+) -> Optional[Congruence]:
+    """Intersection of the maximal l-congruences containing theta, the
+    maximal points of V(theta); None when there are none."""
+    _require_on(R, theta)
+    S = spec(R, bound)
+    over = v_set(S, theta).members & S.maximal
+    return i_of(S, over) if over else EMPTY_RADICAL
 
 
 # -- dimension ----------------------------------------------------------
@@ -254,12 +289,12 @@ def s_of_f(S: Spectrum, f: int) -> frozenset[int]:
     """The denominator monoid of the basic open D(f).
 
     Spanned by the prudent non-ghost-divisors h whose D(h) covers
-    D(f), together with all powers of f when f itself is prudent.
+    D(f) (h lies in every tangible cluster over D(f)), together with
+    all powers of f when f itself is prudent.
     """
     R = S.carrier
-    d_f = d_set(S, f).members
-    candidates = R.prudent - R.ghost_divisors()
-    base = {h for h in candidates if d_f <= d_set(S, h).members}
+    over_f = [S.points[i].iT for i in d_set(S, f).members]
+    base = (R.prudent - R.ghost_divisors()).intersection(*over_f)
     if f in R.prudent:
         base |= R.powers_of(f)
     return _mult_closure(R, base)
@@ -334,46 +369,44 @@ def nullstellensatz_check(
     """Element f has a ghost residue at every point over theta exactly
     when some power of f lies in the ghost cluster of theta.
 
-    The right side reads theta alone, not the points.  Its direction
-    to the left holds by primality: a point over theta ghostifies f^k,
-    so it ghostifies f.  The direction from the left is the statement
-    the check tests.  With no point over theta the left side holds for
-    every element.
+    The left side is the ghost cluster of I(V(theta)): a ~ nu(a)
+    holds in a meet exactly when it holds in every member, and I of no
+    point is all-pairs, whose ghost cluster is everything.  The right
+    side reads theta alone, not the points.  Its direction to the left
+    holds by primality: a point over theta ghostifies f^k, so it
+    ghostifies f.  The direction from the left is the statement the
+    check tests.
     """
     _require_on(R, theta)
-    over = [p for p in nu_primes(R, bound) if theta.refines(p)]
-    ghostpotent = ghostpotent_over(R, theta.iG)
-    failures = []
-    for f in range(R.size):
-        lhs = all(f in p.iG for p in over)
-        rhs = f in ghostpotent
-        if lhs != rhs:
-            failures.append(
-                f"{R.names[f]}: ghost at all points is {lhs}, "
-                f"in radical ghost cluster is {rhs}"
-            )
-    return CheckReport(
-        "nullstellensatz", not failures, R.size, tuple(failures)
+    S = spec(R, bound)
+    lhs = i_of(S, v_set(S, theta)).iG
+    rhs = ghostpotent_over(R, theta.iG)
+    failures = tuple(
+        f"{R.names[f]}: ghost at all points is {f in lhs}, "
+        f"in radical ghost cluster is {f in rhs}"
+        for f in sorted(lhs ^ rhs)
     )
+    return CheckReport("nullstellensatz", not failures, R.size, failures)
 
 
 def krull_check(R: FiniteNuSemiring, bound: int = DEFAULT_BOUND) -> CheckReport:
     """The radical of the diagonal, computed by closure, against the
-    points: it is their intersection, there are no points exactly when
-    it is None, and its ghost cluster and the points' common ghost
-    cluster both collect exactly the ghostpotents."""
-    points = nu_primes(R, bound)
+    points: it is their intersection I(Spec), there are no points
+    exactly when it is None, and its ghost cluster and that of I(Spec)
+    both collect exactly the ghostpotents."""
+    S = spec(R, bound)
     rad = srad(R, ())
     ghostpotent = gprad(R)
     failures = []
-    if points:
-        if rad != cong_intersect(*points):
+    if S.points:
+        meet = i_of(S, range(len(S.points)))
+        if rad != meet:
             failures.append("srad of empty set differs from prime intersection")
-        if frozenset.intersection(*(p.iG for p in points)) != ghostpotent:
+        if meet.iG != ghostpotent:
             failures.append("prime ghost clusters meet off the ghostpotents")
-    if (rad is None) != (not points):
+    if (rad is None) != (not S.points):
         failures.append(
-            "primes yet an empty radical" if points
+            "primes yet an empty radical" if S.points
             else "no primes yet a nonempty radical"
         )
     if rad is not None and rad.iG != ghostpotent:
@@ -394,26 +427,20 @@ def _hasse_edges(S: Spectrum) -> list[tuple[int, int]]:
 
 
 def spectrum_to_json(S: Spectrum, bound: int = DEFAULT_BOUND) -> str:
-    """Stable dump: per point its classes, clusters, and classifier
-    flags, plus the Hasse diagram of the inclusion order.
-
-    The nu-primes are exactly the l-congruences, so the points are the
-    whole l-congruence family and every point's TanglyMinimal and
-    MaximalL read the points alone.  No lattice is built, and bound is
-    not consulted.
+    """Stable dump: per point its classes, clusters, and flags
+    (Spectrum.flags_of), plus the Hasse diagram of the inclusion order.
+    No lattice is built, and bound is not consulted.
     """
     R = S.carrier
-    points = []
-    for p in S.points:
-        flags = _basic_flags(R, p) | _relative_flags(p, S.points)
-        points.append(
-            {
-                "classes": class_names(p),
-                "iT": sorted(R.names[i] for i in p.iT),
-                "iG": sorted(R.names[i] for i in p.iG),
-                "flags": sorted(flags),
-            }
-        )
+    points = [
+        {
+            "classes": class_names(p),
+            "iT": sorted(R.names[i] for i in p.iT),
+            "iG": sorted(R.names[i] for i in p.iG),
+            "flags": sorted(S.flags_of(p)),
+        }
+        for p in S.points
+    ]
     return json.dumps(
         {
             "points": points,

@@ -19,18 +19,21 @@ nu_primes; it is the reference for the closure radical.
 flag_family is the lattice that a carrier once kept, filed under every
 flag: the whole lattice under None, and the l-congruences' relative
 flags read from the l-congruences of the lattice.  It reads the
-library's lattice and flags, never its prime search, and is the
-reference for nu_primes, jac and enumerate_congruences by kind.
+library's lattice and classify, never its prime search, and is the
+reference for nu_primes, spectra.jac, Spectrum.flags_of and
+enumerate_congruences by kind.  relative_flags is the library's former
+_relative_flags, kept verbatim, so that the relative flags share no
+code with Spectrum.flags_of.
 
-scan_basic_flags is the library's former _basic_flags, which tested
-NuPrime by a scan over all products landing in the ghost cluster and
-Determined by a scan over the classes.  It is the reference for the
+scan_basic_flags is an earlier form of the flags in classify, which
+tested NuPrime by a scan over all products landing in the ghost cluster
+and Determined by a scan over the classes.  It is the reference for the
 partition lemma that replaced both scans.
 """
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from supertrop.congr import (
     DEFAULT_BOUND,
@@ -44,13 +47,14 @@ from supertrop.congr import (
     FiniteNuSemiring,
     QHom,
     ValidationReport,
+    FLAG_MAXIMAL_L,
+    FLAG_TANGLY_MINIMAL,
     _all_congruences,
-    _basic_flags,
     _canonical_reps,
     _find,
-    _relative_flags,
     _union,
     check_q_homomorphism,
+    classify,
     computed_prudent,
     cong_intersect,
     ghostpotent_over,
@@ -549,17 +553,31 @@ def scan_basic_flags(R: FiniteNuSemiring, theta: Congruence) -> set[str]:
     return flags
 
 
+def relative_flags(
+    theta: Congruence, l_congs: Sequence[Congruence]
+) -> set[str]:
+    """TanglyMinimal and MaximalL of an l-congruence: no member of the
+    l-congruence family has a strictly smaller tangible cluster, and
+    none lies strictly above theta."""
+    flags: set[str] = set()
+    if not any(c.iT < theta.iT for c in l_congs):
+        flags.add(FLAG_TANGLY_MINIMAL)
+    if not any(theta.refines(c) and c.reps != theta.reps for c in l_congs):
+        flags.add(FLAG_MAXIMAL_L)
+    return flags
+
+
 # kept per carrier, since spectra_oracles.height asks once per point
 @lru_cache(maxsize=4)
 def flag_family(R: FiniteNuSemiring) -> dict[Optional[str], tuple[Congruence, ...]]:
     """The lattice under the key None, and filtered by each flag."""
     lattice = _all_congruences(R)
-    flag_sets = [_basic_flags(R, c) for c in lattice]
+    flag_sets = [set(classify(R, c)) for c in lattice]
     l_congs = [c for c, flags in zip(lattice, flag_sets) if FLAG_L in flags]
     family: dict[Optional[str], list[Congruence]] = {}
     for c, flags in zip(lattice, flag_sets):
         if FLAG_L in flags:
-            flags |= _relative_flags(c, l_congs)
+            flags |= relative_flags(c, l_congs)
         for flag in (None, *flags):
             family.setdefault(flag, []).append(c)
     return {flag: tuple(cs) for flag, cs in family.items()}

@@ -10,6 +10,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,6 +38,7 @@ from supertrop.congr import (
 from supertrop.poly import (
     canonicalize,
     format_poly,
+    MAX_VARIABLES,
     make_poly,
     parse_poly,
 )
@@ -864,6 +866,21 @@ def test_zero_denominators_and_deep_nesting_exit_2(capsys):
         assert code == 2, argv[:2]
         assert out == ""
         assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
+def test_indexed_variables_past_the_cap_exit_2_at_once(capsys):
+    # the highest index is the length of every exponent vector; without
+    # MAX_VARIABLES, x1000000 alone took about a second and x999999999
+    # would need gigabytes
+    for text in ("x65", "x1000000+0", "x999999999", "x" + "9" * 5000):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "canon", text)
+        assert time.perf_counter() - start < 0.5, text[:12]
+        assert (code, out) == (2, "")
+        assert err == f"parse error: variable at position 0 is past x{MAX_VARIABLES}\n"
+    assert run(capsys, "canon", f"x{MAX_VARIABLES} + x0001")[:2] == (
+        0, f"x1 + x{MAX_VARIABLES}\n"
+    )
 
 
 def test_precondition_errors_exit_3(capsys):

@@ -53,7 +53,6 @@ from supertrop.congr import (
     ghostify,
     gprad,
     is_congruence,
-    jac,
     localize_finite,
     make_semiring,
     mixed_units,
@@ -75,6 +74,7 @@ from supertrop.congr import (
 )
 from supertrop.errors import BoundError, ParseError, PreconditionError
 from supertrop.spectra import (
+    jac,
     krull_check,
     nullstellensatz_check,
     rcl,
@@ -643,13 +643,17 @@ def test_validity_and_lattice_are_computed_once_per_carrier(monkeypatch):
 
 def test_flag_family_matches_classify():
     bound = 11
+    relative = {FLAG_TANGLY_MINIMAL, FLAG_MAXIMAL_L}
     for name, R in small_carriers():
         if R.size > bound:
             continue
         lattice = enumerate_congruences(R, bound)
-        flags = [classify(R, c, bound) for c in lattice]
+        S = spec(R, bound)
+        flags = [S.flags_of(c) for c in lattice]
         assert enumerate_congruences(R, bound, None) == lattice, name
-        for kind in FLAG_KINDS:
+        for c, fl in zip(lattice, flags):
+            assert classify(R, c) == fl - relative, (name, c.reps)
+        for kind in [k for k in FLAG_KINDS if k not in relative]:
             expected = tuple(c for c, fl in zip(lattice, flags) if kind in fl)
             assert enumerate_congruences(R, bound, kind) == expected, (name, kind)
         # the two relative flags, straight from their definitions
@@ -661,8 +665,9 @@ def test_flag_family_matches_classify():
             c for c in l_congs
             if not any(c.refines(d) and c != d for d in l_congs)
         )
-        assert enumerate_congruences(R, bound, FLAG_TANGLY_MINIMAL) == minimal
-        assert enumerate_congruences(R, bound, FLAG_MAXIMAL_L) == maximal
+        for kind, expected in ((FLAG_TANGLY_MINIMAL, minimal), (FLAG_MAXIMAL_L, maximal)):
+            got = tuple(c for c, fl in zip(lattice, flags) if kind in fl)
+            assert got == expected, (name, kind)
 
 
 def test_congruence_intersection_preserves_kinds():
@@ -694,7 +699,8 @@ def test_inclusion_reverses_tangible_clusters():
 
 def test_classify_ghostify_a_on_chain2():
     theta = ghostify(CHAIN2, [CHAIN2.index("a")])
-    flags = classify(CHAIN2, theta)
+    flags = spec(CHAIN2).flags_of(theta)
+    assert classify(CHAIN2, theta) == flags - {FLAG_TANGLY_MINIMAL}
     assert {FLAG_Q, FLAG_L, FLAG_PRIME, FLAG_RADICAL} <= flags
     assert FLAG_TANGLY_MINIMAL in flags
     # the class {a, av} mixes layers, and a strictly larger prime
@@ -998,6 +1004,38 @@ def test_quotient_and_localize_reject_invalid_carriers():
             call()
 
 
+def test_relative_kinds_are_refused_by_the_enumeration():
+    # TanglyMinimal and MaximalL are flags of the spectrum's points,
+    # which Spectrum.flags_of adds; classify never holds them
+    for kind in (FLAG_TANGLY_MINIMAL, FLAG_MAXIMAL_L):
+        with pytest.raises(PreconditionError) as exc:
+            enumerate_congruences(CHAIN2, kind=kind)
+        assert str(exc.value) == (
+            f"{kind} is relative to the spectrum: use Spectrum.flags_of"
+        )
+
+
+def test_classify_never_searches(monkeypatch):
+    # classify reads theta alone: with the join search and the lattice
+    # both raising, it flags every congruence of the wide corpus, on
+    # fresh copies that hold no points
+    cases = [(R, enumerate_congruences(R, R.size)) for R in wide_corpus()]
+    expected = [[classify(R, c) for c in congs] for R, congs in cases]
+
+    def no_search(*args):
+        raise AssertionError("classify searched the congruences")
+
+    monkeypatch.setattr(congr, "_joins", no_search)
+    monkeypatch.setattr(congr, "_all_congruences", no_search)
+    checked = 0
+    for (R, congs), flags in zip(cases, expected):
+        fresh = dataclasses.replace(R)
+        assert [classify(fresh, c) for c in congs] == flags, R.names
+        assert "_primes" not in vars(fresh) and "_principals" not in vars(fresh)
+        checked += len(congs)
+    assert checked > 1000
+
+
 # -- enumeration bound ----------------------------------------------------
 
 
@@ -1128,7 +1166,7 @@ def test_clusters_partition_and_flags_match_the_scans():
         for theta in enumerate_congruences(R, bound):
             assert theta.iT | theta.iG == everything, (R.names, theta.reps)
             assert not theta.iT & theta.iG, (R.names, theta.reps)
-            flags = congr._basic_flags(R, theta)
+            flags = classify(R, theta)
             assert flags == scan_basic_flags(R, theta), (R.names, theta.reps)
             if FLAG_L in flags:
                 l_congs.append(theta.reps)
@@ -1152,9 +1190,17 @@ def test_points_and_flags_match_the_lattice_oracle():
         bound = max(R.size, DEFAULT_BOUND)
         family = flag_family(R)
         assert nu_primes(R, bound) == family.get(FLAG_PRIME, ()), R.names
-        for kind in FLAGS:
+        for kind in [k for k in FLAGS if k not in (FLAG_TANGLY_MINIMAL, FLAG_MAXIMAL_L)]:
             expected = family.get(kind, ())
             assert enumerate_congruences(R, bound, kind) == expected, (R.names, kind)
+        # every congruence's flags, the relative ones included
+        S = spec(R, bound)
+        filed = {c.reps: set() for c in family[None]}
+        for kind in FLAGS:
+            for c in family.get(kind, ()):
+                filed[c.reps].add(kind)
+        for c in family[None]:
+            assert S.flags_of(c) == filed[c.reps], (R.names, c.reps)
         maximal = family.get(FLAG_MAXIMAL_L, ())
         for theta in (diagonal(R), *family.get(FLAG_PRIME, ())):
             over = [c for c in maximal if theta.refines(c)]
@@ -1182,7 +1228,7 @@ def test_radicals_never_build_the_lattice(monkeypatch):
         assert "_primes" not in vars(R), R.names
         rad = srad(R, ())
         assert rad.iG == gprad(R), R.names
-        assert FLAG_RADICAL in classify(R, rad, 0)
+        assert FLAG_RADICAL in classify(R, rad)
         assert crad(R, diagonal(R)) == rad
         for a in range(R.size):
             rad_a = srad(R, [a])

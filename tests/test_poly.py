@@ -21,6 +21,7 @@ from supertrop.core import (
 from supertrop.errors import ParseError, PreconditionError
 from supertrop.poly import (
     MAX_NESTING,
+    MAX_VARIABLES,
     CanonicalForm,
     Essentiality,
     TropPoly,
@@ -497,6 +498,15 @@ def test_parse_nesting_cap():
     for depth in (MAX_NESTING + 1, 3000):
         with pytest.raises(ParseError, match="nested deeper"):
             parse_poly("(" * depth + "x" + ")" * depth)
+
+
+def test_parse_variable_cap():
+    assert parse_poly(f"x{MAX_VARIABLES}").nvars == MAX_VARIABLES
+    # leading zeros name the same variable, however many there are
+    assert parse_poly("x" + "0" * 5000 + "1") == parse_poly("x1")
+    for index in (MAX_VARIABLES + 1, 10**9, "9" * 5000):
+        with pytest.raises(ParseError, match=f"past x{MAX_VARIABLES}$"):
+            parse_poly(f"x{index} + 0")
 
 
 def test_format_examples():

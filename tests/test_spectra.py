@@ -26,7 +26,6 @@ from supertrop.congr import (
     flat_idempotent,
     ghost_tower,
     ghostify,
-    jac,
     localize_finite,
     mixed_units,
     nu_primes,
@@ -54,6 +53,7 @@ from supertrop.spectra import (
     irreducible,
     is_closed,
     is_nu_strict,
+    jac,
     krull_check,
     krull_dim,
     nullstellensatz_check,
@@ -814,6 +814,26 @@ def test_quotient_spectrum_matches_closed_set():
 # -- reports and serialization ----------------------------------------------
 
 
+def test_i_of_v_has_the_common_ghost_cluster():
+    # the meet lemma under nullstellensatz_check: a ~ nu(a) holds in a
+    # meet exactly when it holds in every member, and I of no point is
+    # all-pairs, whose ghost cluster is every element
+    carriers = list(wide_corpus())
+    carriers += [build(n) for n in range(1, 6) for build in (str_chain, str_trunc)]
+    checked = empty = 0
+    for R in carriers:
+        bound = max(R.size, DEFAULT_BOUND)
+        S = spec(R, bound)
+        everything = frozenset(range(R.size))
+        for theta in enumerate_congruences(R, bound):
+            V = v_set(S, theta)
+            common = everything.intersection(*(S.points[i].iG for i in V.members))
+            assert i_of(S, V).iG == common, (R.names, theta.reps)
+            checked += 1
+            empty += not V.members
+    assert checked > 1000 and empty > 100
+
+
 def test_nullstellensatz_check_passes_on_suite():
     for R in corpus():
         bound = max(R.size, DEFAULT_BOUND)
@@ -836,6 +856,15 @@ def test_nullstellensatz_check_can_fail(monkeypatch):
     assert not report.passed
     assert report.failures == (
         "1: ghost at all points is True, in radical ghost cluster is False",
+    )
+    # and the other way: a false point over the diagonal of str-chain:2
+    # that keeps a tangible, though a * a = av is ghost
+    monkeypatch.setattr(
+        spectra, "nu_primes", lambda R, bound: (diagonal(CHAIN2),)
+    )
+    report = nullstellensatz_check(CHAIN2, diagonal(CHAIN2))
+    assert report.failures == (
+        "a: ghost at all points is False, in radical ghost cluster is True",
     )
 
 
@@ -974,7 +1003,7 @@ def test_spectrum_paths_never_build_the_lattice(monkeypatch):
         step = max(1, len(S.points) // 16)
         for x in range(0, len(S.points), step):
             p = S.points[x]
-            assert FLAG_PRIME in classify(R, p, bound)
+            assert FLAG_PRIME in classify(R, p)
             assert nullstellensatz_check(R, p, bound).passed, R.names
             assert p.refines(jac(R, p, bound)), R.names
             assert stalk(S, x).size >= 1

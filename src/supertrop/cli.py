@@ -12,18 +12,20 @@ literal; --seed N is shorthand for the seeded random carrier.
 
 Every command is deterministic: identical inputs produce byte-identical
 output (JSON is emitted with sorted keys, SVG carries no timestamps).
-Errors are reported on stderr with distinct exit codes: 2 for parse
-errors, 3 for violated preconditions, 4 for enumeration bounds.
+Errors are reported on stderr, one line each, with distinct exit codes:
+2 for parse and usage errors, 3 for violated preconditions, 4 for
+enumeration bounds and the other size caps.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from . import congr, locus, poly, spectra
 from .core import RATIONAL, format_element, parse_element
@@ -47,8 +49,9 @@ def _load_semiring(args: argparse.Namespace) -> congr.FiniteNuSemiring:
     if getattr(args, "seed", None) is not None:
         return congr.random_semiring(args.seed)
     text = args.semiring
-    path = Path(text)
-    if text.lstrip().startswith("{") or path.suffix == ".json" or path.exists():
+    # os.path.exists, unlike Path.exists, is False for a name too long for a file
+    is_file = Path(text).suffix == ".json" or os.path.exists(text)
+    if text.lstrip().startswith("{") or is_file:
         return congr.semiring_from_json(_json_text(text, "carrier"))
     return congr.builtin_semiring(text)
 
@@ -256,6 +259,15 @@ def _cmd_krullcheck(args: argparse.Namespace) -> Payload:
     return spectra.krull_check(_load_semiring(args), args.bound).to_json()
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error is one stderr line, like every other error, even
+    when it quotes an argument with a line break; the verbs' parsers
+    inherit the class."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {' '.join(message.splitlines())}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     out_flags = argparse.ArgumentParser(add_help=False)
     out_flags.add_argument(
@@ -283,16 +295,19 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"carrier-size cap for enumeration (default {congr.DEFAULT_BOUND})",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="supertrop",
         description="Exact supertropical algebra: polynomials, ghost loci, "
         "congruences, and nu-prime spectra of finite carriers.",
     )
     sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
 
-    p = sub.add_parser(
-        "eval", parents=[out_flags], help="evaluate a polynomial at a point"
-    )
+    def verb(name: str, func: Callable, help: str, *flags) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[out_flags, *flags], help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = verb("eval", _cmd_eval, "evaluate a polynomial at a point")
     p.add_argument("poly", help="polynomial, e.g. \"x^2 + 0*x + 1\"")
     p.add_argument(
         "point",
@@ -300,151 +315,77 @@ def _build_parser() -> argparse.ArgumentParser:
         default="",
         help="comma-separated coordinates, e.g. \"3,-1/2v\"",
     )
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser(
-        "canon", parents=[out_flags], help="canonical form of a polynomial"
-    )
-    p.add_argument("poly")
-    p.set_defaults(func=_cmd_canon)
-
-    p = sub.add_parser(
-        "equal",
-        parents=[out_flags],
-        help="decide whether two polynomials define the same function",
+    verb("canon", _cmd_canon, "canonical form of a polynomial").add_argument("poly")
+    p = verb(
+        "equal", _cmd_equal, "decide whether two polynomials define the same function"
     )
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(func=_cmd_equal)
-
-    p = sub.add_parser(
-        "factor", parents=[out_flags], help="factor a univariate polynomial"
-    )
+    p = verb("factor", _cmd_factor, "factor a univariate polynomial")
     p.add_argument("poly")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_factor)
-
-    p = sub.add_parser(
-        "root",
-        parents=[out_flags],
-        help="a tangible point of the ghost locus of a univariate polynomial",
-    )
-    p.add_argument("poly")
-    p.set_defaults(func=_cmd_root)
-
-    p = sub.add_parser(
-        "zlocus",
-        parents=[out_flags],
-        help="planar ghost-locus cell complex of bivariate polynomials",
+    verb(
+        "root", _cmd_root,
+        "a tangible point of the ghost locus of a univariate polynomial",
+    ).add_argument("poly")
+    p = verb(
+        "zlocus", _cmd_zlocus,
+        "planar ghost-locus cell complex of bivariate polynomials",
     )
     p.add_argument("polys", nargs="+", metavar="poly")
     p.add_argument(
         "--box", metavar="X0,X1,Y0,Y1", help="clip window (rational corners)"
     )
     p.add_argument("--format", choices=("json", "svg", "text"), default="json")
-    p.set_defaults(func=_cmd_zlocus)
 
-    p = sub.add_parser(
-        "validate",
-        parents=[out_flags, ring_flags],
-        help="run the carrier axiom battery",
-    )
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser(
-        "congs",
-        parents=[out_flags, ring_flags],
-        help="enumerate congruences with classifier flags",
-    )
-    p.add_argument(
+    congruence = {"metavar": "SPEC", "help": "congruence JSON file or literal"}
+    verb("validate", _cmd_validate, "run the carrier axiom battery", ring_flags)
+    verb(
+        "congs", _cmd_congs, "enumerate congruences with classifier flags", ring_flags
+    ).add_argument(
         "--kind",
         choices=congr.FLAGS,
         help="keep only congruences carrying this flag",
     )
-    p.set_defaults(func=_cmd_congs)
-
-    p = sub.add_parser(
-        "spec",
-        parents=[out_flags, ring_flags],
-        help="nu-prime spectrum with its inclusion order",
-    )
-    p.set_defaults(func=_cmd_spec)
-
-    p = sub.add_parser(
-        "radical",
-        parents=[out_flags, ring_flags],
-        help="radical of an element set (srad) or of a congruence (crad)",
+    verb("spec", _cmd_spec, "nu-prime spectrum with its inclusion order", ring_flags)
+    p = verb(
+        "radical", _cmd_radical,
+        "radical of an element set (srad) or of a congruence (crad)", ring_flags,
     )
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument(
         "--elements", metavar="A,B,...", help="comma-separated element names"
     )
-    group.add_argument(
-        "--congruence", metavar="SPEC", help="congruence JSON file or literal"
-    )
-    p.set_defaults(func=_cmd_radical)
-
-    p = sub.add_parser(
-        "quotient",
-        parents=[out_flags, ring_flags],
-        help="quotient carrier by a q-congruence, with the projection map",
-    )
-    p.add_argument(
-        "--congruence",
-        required=True,
-        metavar="SPEC",
-        help="congruence JSON file or literal",
-    )
-    p.set_defaults(func=_cmd_quotient)
-
-    p = sub.add_parser(
-        "localize",
-        parents=[out_flags, ring_flags],
-        help="localization at a prudent tangible monoid, with a -> a/1",
-    )
-    p.add_argument(
+    group.add_argument("--congruence", **congruence)
+    verb(
+        "quotient", _cmd_quotient,
+        "quotient carrier by a q-congruence, with the projection map", ring_flags,
+    ).add_argument("--congruence", required=True, **congruence)
+    verb(
+        "localize", _cmd_localize,
+        "localization at a prudent tangible monoid, with a -> a/1", ring_flags,
+    ).add_argument(
         "--monoid",
         required=True,
         metavar="A,B,...",
         help="comma-separated element names generating the denominators",
     )
-    p.set_defaults(func=_cmd_localize)
-
-    p = sub.add_parser(
-        "sections",
-        parents=[out_flags, ring_flags],
-        help="carrier of structure-sheaf sections over the basic open D(f)",
+    verb(
+        "sections", _cmd_sections,
+        "carrier of structure-sheaf sections over the basic open D(f)", ring_flags,
+    ).add_argument("--element", required=True, metavar="F", help="element name f")
+    verb(
+        "stalk", _cmd_stalk,
+        "stalk of the structure sheaf at a spectrum point", ring_flags,
+    ).add_argument("--point", required=True, type=int, metavar="I", help="point index")
+    verb(
+        "nullcheck", _cmd_nullcheck,
+        "ghost-residue radical identity over one or all q-congruences", ring_flags,
+    ).add_argument("--congruence", **congruence)
+    verb(
+        "krullcheck", _cmd_krullcheck,
+        "ghostpotents against the intersection of all nu-primes", ring_flags,
     )
-    p.add_argument("--element", required=True, metavar="F", help="element name f")
-    p.set_defaults(func=_cmd_sections)
-
-    p = sub.add_parser(
-        "stalk",
-        parents=[out_flags, ring_flags],
-        help="stalk of the structure sheaf at a spectrum point",
-    )
-    p.add_argument(
-        "--point", required=True, type=int, metavar="I", help="point index"
-    )
-    p.set_defaults(func=_cmd_stalk)
-
-    p = sub.add_parser(
-        "nullcheck",
-        parents=[out_flags, ring_flags],
-        help="ghost-residue radical identity over one or all q-congruences",
-    )
-    p.add_argument(
-        "--congruence", metavar="SPEC", help="congruence JSON file or literal"
-    )
-    p.set_defaults(func=_cmd_nullcheck)
-
-    p = sub.add_parser(
-        "krullcheck",
-        parents=[out_flags, ring_flags],
-        help="ghostpotents against the intersection of all nu-primes",
-    )
-    p.set_defaults(func=_cmd_krullcheck)
-
     return parser
 
 

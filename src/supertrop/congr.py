@@ -18,15 +18,18 @@ l-congruences, and a congruence is determined (no class mixes
 tangibles with ghosts) exactly when its ghost cluster is ghost0.
 
 The principal congruences Cg(a, b), each a worklist closure over
-union-find, and one join search over them serve two ends.  From the
-diagonal the search reaches the whole congruence lattice, at a cost in
-the number of congruences rather than of set partitions; it is built
-anew on each enumeration and kept nowhere.  From the ghostify of each
-candidate ghost cluster it reaches exactly the nu-primes (the proof is
-in FiniteNuSemiring._primes), so the points need no lattice, nor do
-the flags relative to them and the Jacobson radical, which spectra
-reads from them.  Both stay exact and gated by
-the same size bound.  A carrier object computes its validity report,
+union-find, and one join search over them serve two ends.  The search
+is Close-by-One: it takes the principals in one fixed order and
+produces each congruence once, by its lectic parent, so it needs no
+record of what it has found (the proof is in _joins).  From the
+diagonal it reaches the whole congruence lattice, at a cost in the
+number of congruences rather than of set partitions; the lattice is
+built anew on each enumeration and kept nowhere.  From the ghostify of
+each distinct candidate ghost cluster it reaches exactly the nu-primes
+(the proof is in FiniteNuSemiring._primes), so the points need no
+lattice, nor do the flags relative to them and the Jacobson radical,
+which spectra reads from them.  Both stay exact and gated by the same
+size bound.  A carrier object computes its validity report,
 its principals and its points once, on first use, as plain ints that
 are freed with it; an equal but distinct carrier computes its own.
 The nu-radicals need no lattice either: each is a closure that
@@ -155,8 +158,9 @@ class FiniteNuSemiring:
     @cached_property
     def _principals(self) -> dict[tuple[int, ...], tuple[int, int]]:
         """Each principal congruence Cg(a, b) as reps, with a pair (a, b)
-        that generates it.  Read it only past validity, which
-        cong_closure needs."""
+        that generates it, in the order of the least pair generating
+        each: the fixed order of the join search in _joins.  Read it
+        only past validity, which cong_closure needs."""
         return {
             cong_closure(self, [(a, b)]).reps: (a, b)
             for a in range(self.size) for b in range(a + 1, self.size)
@@ -169,10 +173,12 @@ class FiniteNuSemiring:
 
         For each m let F(m) be the divisors of the powers of m, with 1
         included, and P its complement.  The candidates are the P that
-        contain ghost0 (so m lies outside it).  From ghostify(R, P) the
-        search joins with principals and keeps each join whose ghost
+        contain ghost0 (so m lies outside it); several m may give one P,
+        which is searched once, in the order of its least m.  From
+        ghostify(R, P) the join search keeps each join whose ghost
         cluster is still P, that is, in which no member of F(m) has
-        turned ghost, since iG only grows along joins.
+        turned ghost.  Everything found from P has ghost cluster P, so
+        the searches of distinct P find disjoint sets.
 
         Every nu-prime theta is found.  iG(theta) is an ideal (a ~ nu(a)
         gives ab ~ nu(a)b = nu(ab)), so its complement iT(theta) (the
@@ -185,9 +191,10 @@ class FiniteNuSemiring:
         so outside ghost0, and P = iG(theta), the complement of F(m),
         contains ghost0.  theta ghostifies P, so it lies above
         ghostify(R, P) and is the join of that congruence with the
-        principals Cg(a, b) of its own pairs.  iG is monotone, so every
-        partial join has ghost cluster P and is kept: the search
-        reaches theta.
+        principals Cg(a, b) of its own pairs.  Keep-pruning: iG only
+        grows along joins, so every congruence on the canonical path to
+        theta (see _joins) lies between ghostify(R, P) and theta, has
+        ghost cluster P and is kept: the search reaches theta.
 
         Only nu-primes are found.  The start ghostify(R, P) has ghost
         cluster exactly P.  F(m) is saturated, so P is an ideal.  Let E
@@ -204,17 +211,19 @@ class FiniteNuSemiring:
         same thing as a nu-prime.
         """
         M, N, g0 = self.mul_table, self.nu_table, self.ghost0
-        found: set[tuple[int, ...]] = set()
-        for m in range(self.size):
-            divided = self.powers_of(m) | {self.one}
-            F = frozenset(a for a, row in enumerate(M) if not divided.isdisjoint(row))
-            P = frozenset(range(self.size)) - F
-            if g0 <= P:
-                found |= _joins(
-                    self, ghostify(self, P).reps,
+        elements = range(self.size)
+        clusters = dict.fromkeys(
+            frozenset(a for a in elements if not divided.isdisjoint(M[a]))
+            for divided in (self.powers_of(m) | {self.one} for m in elements)
+        )
+        primes: list[tuple[int, ...]] = []
+        for F in clusters:
+            if g0.isdisjoint(F):
+                primes += _joins(
+                    self, ghostify(self, frozenset(elements) - F).reps,
                     lambda reps: all(reps[a] != reps[N[a]] for a in F),
                 )
-        return tuple(sorted(found))
+        return tuple(sorted(primes))
 
     def ghost_divisors(self) -> frozenset[int]:
         """Non-ghost elements with a non-ghost cofactor ghosting the product."""
@@ -616,23 +625,48 @@ def _join(theta: tuple[int, ...], phi: tuple[int, ...]) -> tuple[int, ...]:
     return _canonical_reps(parent)
 
 
-def _joins(R: FiniteNuSemiring, start: tuple[int, ...], keep: Callable) -> set[tuple]:
-    """start and its joins with principal congruences, repeated from
-    every join that keep accepts; all as reps.
+def _joins(R: FiniteNuSemiring, start: tuple[int, ...], keep: Callable) -> list[tuple]:
+    """start and each congruence above it that keep accepts, each once,
+    as reps, for a keep that accepts everything between start and what
+    it accepts.  Close-by-One (Kuznetsov 1993) over the principals
+    p_0, p_1, ... of R._principals in their fixed order, the lectic
+    order of Ganter's NextClosure (1984).  From theta, reached by
+    p_(y-1) (start by none, y = 0), the search joins each p_j, j >= y,
+    not below theta, and keeps eta = theta v p_j only when keep accepts
+    it and no p_i, i < j, that was not below theta is below eta.
 
-    A join is tried only with a principal not yet below it, and only
-    the joins keep accepts are kept and joined further.
+    Canonicity: each congruence theta above start is produced once, by
+    its lectic parent.  theta is start joined with the principals below
+    it.  Its canonical path leaves start and at each step joins the
+    least p_j below theta and not below the step before, until it
+    reaches theta.  Each step passes the test: a p_i, i < j, below the
+    new step is below theta, so by the choice of j it was below the
+    step before.  So the indices rise, and the search follows the path
+    to theta.  Conversely, along any path the search takes to theta
+    the indices rise, and each later step of index j' adds no principal
+    of index below j'.  So the principals of index below j under theta
+    are those under the step that p_j extends, each step's j is the
+    least choice, the path is the canonical one, and theta is produced
+    once.
+
+    Keep-pruning: each step on the canonical path to theta lies between
+    start and theta, so keep accepts it when it accepts theta, and no
+    rejected join hides an accepted one.
     """
-    found, todo = {start}, [start]
+    principals = tuple(R._principals.items())
+    out, todo = [start], [(start, 0)]
     while todo:
-        theta = todo.pop()
-        for p, (a, b) in R._principals.items():
+        theta, y = todo.pop()
+        for j, (p, (a, b)) in enumerate(principals[y:], y):
             if theta[a] != theta[b]:
-                joined = _join(theta, p)
-                if joined not in found and keep(joined):
-                    found.add(joined)
-                    todo.append(joined)
-    return found
+                eta = _join(theta, p)
+                if keep(eta) and all(
+                    theta[c] == theta[d] or eta[c] != eta[d]
+                    for _, (c, d) in principals[:j]
+                ):
+                    out.append(eta)
+                    todo.append((eta, j + 1))
+    return out
 
 
 def _all_congruences(R: FiniteNuSemiring) -> tuple[Congruence, ...]:
@@ -640,10 +674,11 @@ def _all_congruences(R: FiniteNuSemiring) -> tuple[Congruence, ...]:
     Cg(a, b), and their joins (Freese, "Computing congruences
     efficiently", Algebra Universalis 59, 2008).
 
-    Every congruence is the join of the principals of its pairs, so
-    joining from the diagonal with every principal not yet below
-    reaches them all, at a cost in the lattice size, not in Bell(n).
-    The lattice is built on each call and kept nowhere.
+    Every congruence is the join of the principals of its pairs, so the
+    Close-by-One search of _joins from the diagonal, with a keep that
+    accepts everything, produces each of them exactly once, at a cost
+    in the lattice size times the principals, not in Bell(n).  The
+    lattice is sorted by reps, built on each call and kept nowhere.
     """
     lattice = _joins(R, tuple(range(R.size)), lambda reps: True)
     return tuple(Congruence(R, reps) for reps in sorted(lattice))
@@ -1086,7 +1121,7 @@ def to_json(R: FiniteNuSemiring) -> str:
 def _loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"bad JSON: {exc}") from None
 
 

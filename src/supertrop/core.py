@@ -17,10 +17,13 @@ Everything is exact.  Rational values are fractions.Fraction, never floats.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
+
+from .errors import BoundError
 
 RationalLike = Union[int, str, Fraction]
 
@@ -334,6 +337,16 @@ def parse_element(text: str) -> NuElement:
     return rat_g(x) if m.group(2) else rat_t(x)
 
 
+def format_number(x: Union[int, Fraction]) -> str:
+    """str(x), or BoundError for a number too long for Python's
+    int-string limit to print."""
+    try:
+        return str(x)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise BoundError(f"a result has more than {limit} digits to print") from None
+
+
 def format_element(a: NuElement) -> str:
     if a.monoid == TRIVIAL:
         if a.is_zero:
@@ -341,5 +354,5 @@ def format_element(a: NuElement) -> str:
         return "b1v" if a.is_ghost else "b1"
     if a.is_zero:
         return "-inf"
-    body = str(a.value)
+    body = format_number(a.value)
     return body + "v" if a.is_ghost else body

@@ -14,4 +14,5 @@ class PreconditionError(ValueError):
 
 
 class BoundError(RuntimeError):
-    """An enumeration bound would be exceeded."""
+    """A size cap would be exceeded: an enumeration bound, the tie-line
+    budget, or the digits Python prints of one number."""

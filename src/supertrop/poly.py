@@ -30,6 +30,7 @@ from .core import (
     add,
     e_of,
     format_element,
+    format_number,
     mul,
     nu,
     one_of,
@@ -450,10 +451,13 @@ def tangible_root(f: TropPoly) -> Optional[Fraction]:
 # cap keeps deep input a parse error instead of a stack overflow.
 # Indexed variables stop at x64 (MAX_VARIABLES), since the highest index
 # is the length of every exponent vector (canon "x1000000+0" took 1.1 s
-# and 56 MB on a 2-core x86-64 Linux VM, Python 3.11).
+# and 56 MB on a 2-core x86-64 Linux VM, Python 3.11).  Exponents stop
+# at MAX_EXPONENT_DIGITS, Python's default limit on int() of a decimal
+# string.
 
 MAX_NESTING = 100
 MAX_VARIABLES = 64
+MAX_EXPONENT_DIGITS = 4300
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<minf>-inf)"
@@ -553,6 +557,9 @@ class _Parser:
             kind, val, at = self._next()
             if kind != "lit" or not val.isdigit():
                 raise ParseError(f"expected an exponent at position {at}")
+            if len(val) > MAX_EXPONENT_DIGITS:
+                raise ParseError(f"exponent at position {at} has more than "
+                                 f"{MAX_EXPONENT_DIGITS} digits")
             base = p_pow(base, int(val))
         return base
 
@@ -619,6 +626,6 @@ def format_poly(f: TropPoly) -> str:
             if k == 1:
                 atoms.append(_var_name(i, f.nvars))
             elif k > 1:
-                atoms.append(f"{_var_name(i, f.nvars)}^{k}")
+                atoms.append(f"{_var_name(i, f.nvars)}^{format_number(k)}")
         parts.append("*".join(atoms))
     return " + ".join(parts)

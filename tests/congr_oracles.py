@@ -25,6 +25,11 @@ enumerate_congruences by kind.  relative_flags is the library's former
 _relative_flags, kept verbatim, so that the relative flags share no
 code with Spectrum.flags_of.
 
+found_joins is the library's former _joins, kept verbatim: it tried
+every principal on every congruence it reached and dropped repeats
+through a growing found set.  It reads the library's principals and
+_join, so it checks only the search order of the Close-by-One _joins.
+
 scan_basic_flags is an earlier form of the flags in classify, which
 tested NuPrime by a scan over all products landing in the ghost cluster
 and Determined by a scan over the classes.  It is the reference for the
@@ -33,7 +38,7 @@ partition lemma that replaced both scans.
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from supertrop.congr import (
     DEFAULT_BOUND,
@@ -52,6 +57,7 @@ from supertrop.congr import (
     _all_congruences,
     _canonical_reps,
     _find,
+    _join,
     _union,
     check_q_homomorphism,
     classify,
@@ -581,3 +587,22 @@ def flag_family(R: FiniteNuSemiring) -> dict[Optional[str], tuple[Congruence, ..
         for flag in (None, *flags):
             family.setdefault(flag, []).append(c)
     return {flag: tuple(cs) for flag, cs in family.items()}
+
+
+def found_joins(R: FiniteNuSemiring, start: tuple[int, ...], keep: Callable) -> set[tuple]:
+    """start and its joins with principal congruences, repeated from
+    every join that keep accepts; all as reps.
+
+    A join is tried only with a principal not yet below it, and only
+    the joins keep accepts are kept and joined further.
+    """
+    found, todo = {start}, [start]
+    while todo:
+        theta = todo.pop()
+        for p, (a, b) in R._principals.items():
+            if theta[a] != theta[b]:
+                joined = _join(theta, p)
+                if joined not in found and keep(joined):
+                    found.add(joined)
+                    todo.append(joined)
+    return found

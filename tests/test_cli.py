@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from supertrop import congr
+from supertrop import congr, poly
 from supertrop.cli import main
 from supertrop.congr import (
     MAX_CHAIN,
@@ -868,6 +868,42 @@ def test_zero_denominators_and_deep_nesting_exit_2(capsys):
         assert err.startswith("parse error: ") and err.count("\n") == 1
 
 
+def test_hostile_carrier_and_congruence_text_exit_2(capsys):
+    # a name longer than a file-name component made Path.exists raise,
+    # and JSON nested past the recursion limit made json.loads raise
+    deep = "[" * 5000
+    cases = [
+        ("validate", "--semiring", "a" * 300),
+        ("validate", "--semiring", "[" * 100_000),
+        ("validate", "--semiring", '{"elements": ' + deep),
+        ("radical", "--semiring", "superboolean", "--congruence", '{"classes":' + deep),
+    ]
+    for argv in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv[:2]
+        assert err.startswith("parse error: ") and err.count("\n") == 1, argv[:2]
+    assert "bad JSON: maximum recursion depth exceeded" in err
+
+
+def test_exponents_past_the_digit_cap_exit_2(capsys):
+    # int() refuses more than 4,300 digits; the parser says where
+    cap = poly.MAX_EXPONENT_DIGITS
+    for text in ("x^" + "9" * 5000, "0 + x^" + "0" * (cap + 1)):
+        code, out, err = run(capsys, "canon", text)
+        assert (code, out) == (2, "")
+        at = text.index("^") + 1
+        assert err == (
+            f"parse error: exponent at position {at} has more than {cap} digits\n"
+        )
+    assert run(capsys, "canon", "x^" + "9" * cap)[:2] == (0, f"x^{'9' * cap}\n")
+    # a result past the same limit for printing is a bound, not a traceback
+    code, out, err = run(capsys, "eval", "x^" + "9" * cap, "3")
+    assert (code, out) == (4, "")
+    assert err == (
+        f"enumeration bound exceeded: a result has more than {cap} digits to print\n"
+    )
+
+
 def test_indexed_variables_past_the_cap_exit_2_at_once(capsys):
     # the highest index is the length of every exponent vector; without
     # MAX_VARIABLES, x1000000 alone took about a second and x999999999
@@ -939,11 +975,13 @@ def test_carrier_spec_numbers_have_one_spelling(capsys):
 
 
 def test_usage_errors_exit_2(capsys):
-    assert main([]) == 2
-    assert main(["spec"]) == 2
-    assert main(["spec", "--semiring", "superboolean", "--seed", "1"]) == 2
-    assert main(["canon", "x", "--nonsense"]) == 2
-    capsys.readouterr()
+    # one line on stderr, without the usage block, like every other error
+    for argv in ([], ["spec"], ["spec", "--semiring", "superboolean", "--seed", "1"],
+                 ["canon", "x", "--nonsense"], ["canon", "x", "a\nb"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("supertrop") and err.count("\n") == 1, argv
+        assert ": error: " in err and "usage" not in err, argv
 
 
 def test_help_exits_zero(capsys):
@@ -1210,6 +1248,65 @@ def test_carrier_verbs_never_raise(argv):
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert (code == 0) == bool(out.getvalue()), argv
     assert len(err.getvalue().splitlines()) == (code != 0), argv
+
+
+# Oversize tokens: each input holds one name, path or number of 1 to
+# 5,000 characters, past a file-name component (255) and Python's
+# int-string limit (4,300 digits).  Exponents sit on monomials only,
+# since a power of a sum such as (x+0)^N has no work budget yet; and a
+# 4,300-digit power costs about 0.2 s in p_pow, so that length is left
+# to test_exponents_past_the_digit_cap_exit_2.
+
+_OVERSIZE_LENGTHS = (1, 2, 255, 256, 4300, 4301, 5000)
+
+
+def _oversize_argvs(tmp_path):
+    ring = ["--semiring", "superboolean"]
+    for n in _OVERSIZE_LENGTHS:
+        name, digits = "a" * n, "9" * n
+        yield from (
+            ["validate", "--semiring", name],
+            ["validate", "--semiring", name + ".json"],
+            ["validate", "--semiring", "[" * n],
+            ["radical", *ring, "--elements", name],
+            ["radical", *ring, "--congruence", name],
+            ["localize", *ring, "--monoid", name],
+            ["sections", *ring, "--element", name],
+            ["congs", *ring, "--kind", name],
+            ["spec", *ring, "--out", str(tmp_path / name)],
+            ["validate", "--semiring", f"str-chain:{digits}"],
+            ["validate", "--semiring", f"str-trunc:{digits}"],
+            ["validate", "--semiring", f"random:{digits}"],
+            ["validate", "--seed", digits],
+            ["stalk", *ring, "--point", digits],
+            ["spec", *ring, "--bound", digits],
+            ["canon", f"x{digits} + 0"],
+            ["canon", f"{digits}*x + -{digits}/{digits}v"],
+            ["eval", "x + y", f"{digits},-{digits}v"],
+        )
+        if n != 4300:
+            yield from (
+                ["canon", f"x^{digits}"],
+                ["eval", f"3*x^{digits}", "1/2"],
+                ["equal", f"x^{digits}", f"x^{digits} + 0"],
+                ["factor", f"x^{digits}"],
+                ["root", f"x^{digits} + 0"],
+                ["zlocus", "--format", "text", f"x^{digits} + y"],
+            )
+
+
+def test_oversize_tokens_exit_with_one_line(tmp_path):
+    checked = 0
+    for argv in _oversize_argvs(tmp_path):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        shown = [arg[:20] for arg in argv]
+        assert code in (0, 2, 3, 4), (shown, err.getvalue()[:200])
+        assert (code == 0) == bool(out.getvalue()) or "--out" in argv, shown
+        assert len(err.getvalue().splitlines()) == (code != 0), shown
+        checked += 1
+    assert checked == 7 * 18 + 6 * 6
 
 
 # -- packaging -----------------------------------------------------------

@@ -88,6 +88,7 @@ from congr_oracles import (
     eager_validate,
     fixpoint_closure,
     flag_family,
+    found_joins,
     loop_computed_prudent,
     loop_powers_of,
     meet_crad,
@@ -1208,6 +1209,40 @@ def test_points_and_flags_match_the_lattice_oracle():
             assert jac(R, theta, bound) == expected, (R.names, theta.reps)
         points += len(family.get(FLAG_PRIME, ()))
     assert len(carriers) == 112 and points > 900
+
+
+def test_close_by_one_matches_the_found_set_search():
+    # _joins reaches each congruence once, and the same ones as the
+    # former search that dropped repeats through a found set: from the
+    # diagonal, and from every candidate ghost cluster with the prime keep
+    rng = random.Random(32)
+    carriers = list(wide_corpus())
+    carriers += [
+        permute_semiring(R, rng.sample(range(R.size), R.size)) for R in carriers
+    ]
+    carriers += [build(n) for n in range(1, 8) for build in (str_chain, str_trunc)]
+    searches = 0
+    for R in carriers:
+        elements = range(R.size)
+        starts = [(tuple(elements), lambda reps: True)]
+        for m in elements:
+            divided = R.powers_of(m) | {R.one}
+            F = {a for a in elements if any(R.mul(a, b) in divided for b in elements)}
+            if not F & R.ghost0:
+                starts.append((
+                    ghostify(R, set(elements) - F).reps,
+                    lambda reps, F=F: all(reps[a] != reps[R.nu(a)] for a in F),
+                ))
+        expected = [found_joins(R, start, keep) for start, keep in starts]
+        for (start, keep), found in zip(starts, expected):
+            got = congr._joins(R, start, keep)
+            assert len(got) == len(set(got)), (R.names, start)
+            assert set(got) == found, (R.names, start)
+            searches += 1
+        # the lattice still comes sorted by reps
+        lattice = enumerate_congruences(R, max(R.size, DEFAULT_BOUND))
+        assert [c.reps for c in lattice] == sorted(expected[0]), R.names
+    assert len(carriers) == 112 and searches > 200
 
 
 def test_radicals_never_build_the_lattice(monkeypatch):

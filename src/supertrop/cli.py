@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 from . import congr, locus, poly, spectra
-from .core import RATIONAL, format_element, parse_element
+from .core import RATIONAL, format_element, format_number, parse_element
 from .errors import BoundError, ParseError, PreconditionError
 
 Payload = Union[str, bytes]
@@ -119,6 +119,8 @@ def _cmd_equal(args: argparse.Namespace) -> Payload:
 
 def _cmd_factor(args: argparse.Namespace) -> Payload:
     fac = poly.factor_univariate(poly.parse_poly(args.poly))
+    # checked first, so that a multiplicity too long to print exits 4 in JSON too
+    mults = [format_number(mult) for _, mult in fac.factors]
     if args.format == "json":
         obj = {
             "unit": format_element(fac.unit),
@@ -129,15 +131,14 @@ def _cmd_factor(args: argparse.Namespace) -> Payload:
         }
         return _dumps(obj)
     parts = [format_element(fac.unit)]
-    for base, mult in fac.factors:
-        text = f"({poly.format_poly(base)})"
-        parts.append(text + (f"^{mult}" if mult > 1 else ""))
+    for (base, mult), text in zip(fac.factors, mults):
+        parts.append(f"({poly.format_poly(base)})" + (f"^{text}" if mult > 1 else ""))
     return " * ".join(parts)
 
 
 def _cmd_root(args: argparse.Namespace) -> Payload:
     r = poly.tangible_root(poly.parse_poly(args.poly))
-    return "none" if r is None else str(r)
+    return "none" if r is None else format_number(r)
 
 
 def _cmd_zlocus(args: argparse.Namespace) -> Payload:
@@ -151,7 +152,7 @@ def _cmd_zlocus(args: argparse.Namespace) -> Payload:
     ghost_faces = sum(1 for c in L.faces() if c.label == "GhostRegion")
     lines = [
         f"polynomials: {len(L.polys)}",
-        f"box: x in [{L.box[0][0]}, {L.box[0][1]}], y in [{L.box[1][0]}, {L.box[1][1]}]",
+        "box: x in [{}, {}], y in [{}, {}]".format(*map(format_number, sum(L.box, ()))),
         f"vertices: {len(L.vertices())}",
         f"edges: {len(L.edges())}",
         f"faces: {len(L.faces())} ({ghost_faces} ghost)",

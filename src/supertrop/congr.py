@@ -504,6 +504,7 @@ class Congruence:
 
     def refines(self, other: "Congruence") -> bool:
         """Whether every class of self sits inside a class of other."""
+        _require_on(other.semiring, self)
         return all(
             other.reps[a] == other.reps[self.reps[a]]
             for a in range(len(self.reps))

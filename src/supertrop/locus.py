@@ -32,7 +32,7 @@ from math import ceil, floor, gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .core import Layer
+from .core import Layer, format_number
 from .errors import BoundError, PreconditionError
 from .poly import Exponent, TropPoly
 
@@ -378,7 +378,8 @@ def to_json(L: LocusComplex) -> str:
         for p in c.polygon:
             text = points.get(id(p))
             if text is None:
-                text = points[id(p)] = _json_list((f'"{p[0]}"', f'"{p[1]}"'), " " * 8)
+                x, y = format_number(p[0]), format_number(p[1])
+                text = points[id(p)] = _json_list((f'"{x}"', f'"{y}"'), " " * 8)
             polygon.append(text)
         attaining = []
         for per_poly in c.attaining:
@@ -386,7 +387,7 @@ def to_json(L: LocusComplex) -> str:
             for e in per_poly:
                 text = exponents.get(e)
                 if text is None:
-                    text = exponents[e] = _json_list([str(k) for k in e], " " * 10)
+                    text = exponents[e] = _json_list([*map(format_number, e)], " " * 10)
                 exps.append(text)
             attaining.append(_json_list(exps, " " * 8))
         cells.append(
@@ -395,7 +396,7 @@ def to_json(L: LocusComplex) -> str:
             + ',\n      "polygon": ' + _json_list(polygon, " " * 6)
             + "\n    }"
         )
-    box = [_json_list((f'"{lo}"', f'"{hi}"'), " " * 4) for lo, hi in L.box]
+    box = [_json_list([f'"{format_number(v)}"' for v in b], " " * 4) for b in L.box]
     return (
         '{\n  "box": ' + _json_list(box, "  ")
         + ',\n  "cells": ' + _json_list(cells, "  ")

@@ -18,6 +18,11 @@ merge of tangibles, and only the congruence family separates them).
 Dimension counts chains of primes whose tangible clusters strictly
 shrink at every step.  A Spectrum computes its inclusion order, its
 point index, its maximal points and its heights once, on first use.
+The order is decided on pair masks: a point becomes one int with bit
+a*n + b set when a ~ b, and p lies inside q exactly when every pair
+related by p is related by q, that is when p's mask is a subset of
+q's.  The maximal points, the heights and the Hasse diagram all read
+that one order.
 
 Sections over a basic open D(f) are computed by localizing at the
 monoid S(f) spanned by the prudent non-ghost-divisors h with
@@ -85,21 +90,27 @@ class Spectrum:
 
     @cached_property
     def below(self) -> tuple[frozenset[int], ...]:
-        """For each point j, the points strictly inside it."""
+        """For each point j, the points strictly inside it.
+
+        Each point's mask has bit a*n + b set when a ~ b.  p <= q says
+        that every pair related by p is related by q, so it is the
+        subset test not mp & ~mq, one int operation per pair of
+        points.  The points are distinct, so i != j makes it strict.
+        """
+        n = self.carrier.size
+        masks = [
+            sum(1 << a * n + b for c in p.classes() for a in c for b in c)
+            for p in self.points
+        ]
         return tuple(
-            frozenset(
-                i for i, p in enumerate(self.points) if i != j and p.refines(q)
-            )
-            for j, q in enumerate(self.points)
+            frozenset(i for i, mp in enumerate(masks) if i != j and not mp & ~mq)
+            for j, mq in enumerate(masks)
         )
 
     @cached_property
     def maximal(self) -> frozenset[int]:
         """The points that lie strictly inside no point."""
-        return frozenset(
-            j for j, p in enumerate(self.points)
-            if not any(i != j and p.refines(q) for i, q in enumerate(self.points))
-        )
+        return frozenset(range(len(self.points))).difference(*self.below)
 
     def flags_of(self, theta: Congruence) -> frozenset[str]:
         """classify's flags of theta, and for a point the two relative
@@ -246,15 +257,9 @@ def rcl(R: FiniteNuSemiring, elements: Iterable[int]) -> frozenset[int]:
     return frozenset() if rad is None else rad.iG
 
 
-def jac(
-    R: FiniteNuSemiring,
-    theta: Congruence,
-    bound: int = DEFAULT_BOUND,
-) -> Optional[Congruence]:
+def jac(S: Spectrum, theta: Congruence) -> Optional[Congruence]:
     """Intersection of the maximal l-congruences containing theta, the
     maximal points of V(theta); None when there are none."""
-    _require_on(R, theta)
-    S = spec(R, bound)
     over = v_set(S, theta).members & S.maximal
     return i_of(S, over) if over else EMPTY_RADICAL
 

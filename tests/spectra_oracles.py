@@ -2,12 +2,14 @@
 
 Before a Spectrum kept its own order, each caller rebuilt it from the
 point list: _strictly_below compared every pair of points, the chain
-steps and the Hasse diagram filtered that table, and height rebuilt
-the whole chain table for one point, found by a linear search.  They
-are kept verbatim so that Spectrum.below, Spectrum.heights, krull_dim
-and the Hasse edges can be checked against them.  height takes its
-points from the lattice oracle (congr_oracles.flag_family), not from
-the library's prime search.
+steps and the Hasse diagram filtered that table, height rebuilt the
+whole chain table for one point, found by a linear search, and
+_maximal scanned every pair of points once more.  They are kept
+verbatim, except that _hasse_edges takes the table rather than
+rebuilding it, so that Spectrum.below, Spectrum.maximal,
+Spectrum.heights, krull_dim and the Hasse edges can be checked
+against them.  height takes its points from the lattice oracle
+(congr_oracles.flag_family), not from the library's prime search.
 """
 
 from typing import Optional, Sequence
@@ -34,6 +36,14 @@ def _strictly_below(points: Sequence[Congruence]) -> list[list[int]]:
         ]
         for q in points
     ]
+
+
+def _maximal(points: Sequence[Congruence]) -> frozenset[int]:
+    """The points that lie strictly inside no point."""
+    return frozenset(
+        j for j, p in enumerate(points)
+        if not any(i != j and p.refines(q) for i, q in enumerate(points))
+    )
 
 
 def _chain_edges(points: Sequence[Congruence]) -> list[list[int]]:
@@ -71,10 +81,10 @@ def height(
     raise PreconditionError("congruence is not a nu-prime of this carrier")
 
 
-def _hasse_edges(points: Sequence[Congruence]) -> list[tuple[int, int]]:
-    below = _strictly_below(points)
+def _hasse_edges(below: list[list[int]]) -> list[tuple[int, int]]:
+    """The Hasse diagram of a table from _strictly_below."""
     edges = []
-    for j in range(len(points)):
+    for j in range(len(below)):
         for i in below[j]:
             if not any(i in below[k] for k in below[j]):
                 edges.append((i, j))

@@ -1283,6 +1283,14 @@ def _oversize_argvs(tmp_path):
             ["canon", f"x{digits} + 0"],
             ["canon", f"{digits}*x + -{digits}/{digits}v"],
             ["eval", "x + y", f"{digits},-{digits}v"],
+            # products one digit longer than their literals: past the
+            # printing limit at 4,300 digits
+            ["factor", f"x^{digits}*x"],
+            ["factor", "--format", "json", f"x^{digits}*x"],
+            ["root", f"x^{digits}*x + 3"],
+            ["zlocus", "--format", "json", f"x^{digits}*x + y + 0"],
+            ["zlocus", "--format", "text", f"x + {digits}*y + 0"],
+            ["zlocus", "--format", "json", f"x + {digits}*y + 0"],
         )
         if n != 4300:
             yield from (
@@ -1306,7 +1314,7 @@ def test_oversize_tokens_exit_with_one_line(tmp_path):
         assert (code == 0) == bool(out.getvalue()) or "--out" in argv, shown
         assert len(err.getvalue().splitlines()) == (code != 0), shown
         checked += 1
-    assert checked == 7 * 18 + 6 * 6
+    assert checked == 7 * 24 + 6 * 6
 
 
 # -- packaging -----------------------------------------------------------

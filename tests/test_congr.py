@@ -1079,8 +1079,8 @@ def test_crad_empty_marker():
 
 
 def test_jacobson_of_diagonal():
-    assert jac(B, diagonal(B)).reps == diagonal(B).reps
-    out = jac(CHAIN2, diagonal(CHAIN2))
+    assert jac(spec(B), diagonal(B)).reps == diagonal(B).reps
+    out = jac(spec(CHAIN2), diagonal(CHAIN2))
     assert out is not EMPTY_RADICAL
     assert FLAG_L in classify(CHAIN2, out)
 
@@ -1206,7 +1206,7 @@ def test_points_and_flags_match_the_lattice_oracle():
         for theta in (diagonal(R), *family.get(FLAG_PRIME, ())):
             over = [c for c in maximal if theta.refines(c)]
             expected = cong_intersect(*over) if over else EMPTY_RADICAL
-            assert jac(R, theta, bound) == expected, (R.names, theta.reps)
+            assert jac(S, theta) == expected, (R.names, theta.reps)
         points += len(family.get(FLAG_PRIME, ()))
     assert len(carriers) == 112 and points > 900
 

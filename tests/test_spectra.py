@@ -330,27 +330,32 @@ def test_dimension_witness_on_flat():
 
 
 def test_order_matches_refines_oracles():
+    # the pair-mask order against the refines scans
     rng = random.Random(0)
     carriers = []
-    for R in corpus():
+    base = corpus()
+    chains = [build(n) for n in range(6, 10) for build in (str_chain, str_trunc)]
+    for R in [*base, *chains]:
         perm = list(range(R.size))
         rng.shuffle(perm)
         carriers += [R, permute_semiring(R, perm)]
-    for R in carriers:
+    for k, R in enumerate(carriers):
         bound = max(R.size, DEFAULT_BOUND)
         S = spec(R, bound)
         fresh = spec(R, bound)
         below = spectra_oracles._strictly_below(S.points)
         assert [sorted(b) for b in S.below] == below, R
-        heights = [spectra_oracles.height(R, p, bound) for p in S.points]
-        assert list(S.heights) == heights, R
-        assert krull_dim(S) == max(heights, default=-1), R
-        assert sorted(_hasse_edges(S)) == sorted(
-            spectra_oracles._hasse_edges(S.points)
-        ), R
+        assert S.maximal == spectra_oracles._maximal(S.points), R
+        assert sorted(_hasse_edges(S)) == sorted(spectra_oracles._hasse_edges(below)), R
         assert [S.index_of(p) for p in S.points] == list(range(len(S.points)))
         # the cached order, index and heights stay out of == and hash
         assert S == fresh and hash(S) == hash(fresh), R
+        # not for the long chains, where spectra_oracles.height would
+        # build the lattice once per point
+        if k < 2 * len(base):
+            heights = [spectra_oracles.height(R, p, bound) for p in S.points]
+            assert list(S.heights) == heights, R
+            assert krull_dim(S) == max(heights, default=-1), R
     assert krull_dim(Spectrum(B, ())) == -1
 
 
@@ -899,13 +904,24 @@ def test_foreign_congruences_are_rejected():
         lambda: nullstellensatz_check(FLAT, diagonal(unit_pair())),
         lambda: quotient(CHAIN2, diagonal(str_chain(3))),
         lambda: classify(CHAIN2, diagonal(str_chain(3))),
-        lambda: jac(CHAIN2, diagonal(str_chain(3))),
+        lambda: jac(spec(CHAIN2), diagonal(str_chain(3))),
         lambda: quotient(unit_pair(), all_pairs(FLAT)),
         lambda: cong_intersect(diagonal(CHAIN2), diagonal(str_chain(3))),
     ):
         with pytest.raises(PreconditionError) as exc:
             call()
         assert str(exc.value) == "congruence lives on the wrong carrier"
+
+
+def test_refines_rejects_another_carrier():
+    # a 5-element diagonal against a 3-element one read past the end,
+    # and the reverse compared the first three elements only
+    five, three = diagonal(str_chain(2)), diagonal(str_chain(1))
+    for p, q in ((five, three), (three, five)):
+        with pytest.raises(PreconditionError) as exc:
+            p.refines(q)
+        assert str(exc.value) == "congruence lives on the wrong carrier"
+    assert five.refines(diagonal(str_chain(2)))
 
 
 def test_check_report_json():
@@ -1005,11 +1021,11 @@ def test_spectrum_paths_never_build_the_lattice(monkeypatch):
             p = S.points[x]
             assert FLAG_PRIME in classify(R, p)
             assert nullstellensatz_check(R, p, bound).passed, R.names
-            assert p.refines(jac(R, p, bound)), R.names
+            assert p.refines(jac(S, p)), R.names
             assert stalk(S, x).size >= 1
         for f in range(R.size):
             assert sections(S, f).size >= 1
-        assert jac(R, diagonal(R), bound) is not EMPTY_RADICAL
+        assert jac(S, diagonal(R)) is not EMPTY_RADICAL
         assert nullstellensatz_check(R, diagonal(R), bound).passed
     assert len(S.points) == 256
     with pytest.raises(AssertionError):

@@ -423,7 +423,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 3
     except BoundError as exc:
-        print(f"enumeration bound exceeded: {exc}", file=sys.stderr)
+        print(f"bound exceeded: {exc}", file=sys.stderr)
         return 4
     return 0
 

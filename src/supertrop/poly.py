@@ -122,9 +122,12 @@ def p_mul(f: TropPoly, g: TropPoly) -> TropPoly:
 def p_pow(f: TropPoly, n: int) -> TropPoly:
     """f^n by repeated squaring: polynomial multiplication over the
     nu-semiring is associative and commutative, so any bracketing of
-    the n factors gives the same polynomial."""
+    the n factors gives the same polynomial.  A monomial's power is
+    one multiplication of its exponent vector (frobenius_pow)."""
     if n < 0:
         raise ValueError("negative power")
+    if n and len(f.terms) == 1:
+        return frobenius_pow(f, n)
     out = p_const(f.nvars, one_of(RATIONAL))
     while n:
         if n & 1:

@@ -17,12 +17,15 @@ union-stable (two primes may share a ghost cluster yet differ by a
 merge of tangibles, and only the congruence family separates them).
 Dimension counts chains of primes whose tangible clusters strictly
 shrink at every step.  A Spectrum computes its inclusion order, its
-point index, its maximal points and its heights once, on first use.
-The order is decided on pair masks: a point becomes one int with bit
-a*n + b set when a ~ b, and p lies inside q exactly when every pair
-related by p is related by q, that is when p's mask is a subset of
-q's.  The maximal points, the heights and the Hasse diagram all read
-that one order.
+point index, its cluster table, its maximal points and its heights
+once, on first use.  The order is decided on pair masks: a point
+becomes one int with bit a*n + b set when a ~ b, and p lies inside q
+exactly when every pair related by p is related by q, that is when
+p's mask is a subset of q's.  The maximal points and the Hasse diagram
+read that order.  The cluster table groups the points by their
+tangible cluster, of which there are at most n however many points
+there are, and every question about clusters reads it instead of the
+points: V of elements, D, S(f), TanglyMinimal and the heights.
 
 Sections over a basic open D(f) are computed by localizing at the
 monoid S(f) spanned by the prudent non-ghost-divisors h with
@@ -38,7 +41,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .congr import (
     Congruence,
@@ -70,9 +73,10 @@ class Spectrum:
     A point is known by its index into points, which index_of recovers
     from the congruence.  The list is complete (the prime search is
     proved to find every nu-prime), so membership tests against it are
-    exact.  The order, the index, the maximal points and the heights
-    are computed on first use and kept on the instance; they take no
-    part in equality or hashing.
+    exact, and the heights may be read from the distinct tangible
+    clusters alone.  The order, the index, the cluster table, the
+    maximal points and the heights are computed on first use and kept
+    on the instance; they take no part in equality or hashing.
     """
 
     carrier: FiniteNuSemiring
@@ -118,28 +122,47 @@ class Spectrum:
         tangible cluster, MaximalL when no point lies above it."""
         flags = set(classify(self.carrier, theta))
         j = self._index.get(theta.reps)
-        if j is not None and not any(p.iT < theta.iT for p in self.points):
+        if j is not None and not any(F < theta.iT for F in self._clusters):
             flags.add(FLAG_TANGLY_MINIMAL)
         if j in self.maximal:
             flags.add(FLAG_MAXIMAL_L)
         return frozenset(flags)
 
     @cached_property
+    def _clusters(self) -> dict[frozenset[int], frozenset[int]]:
+        """Each distinct tangible cluster of a point, with the indices of
+        the points that have it.  Each is one of the clusters F(m) of
+        FiniteNuSemiring._primes, so there are at most n of them."""
+        groups: dict[frozenset[int], set[int]] = {}
+        for i, p in enumerate(self.points):
+            groups.setdefault(p.iT, set()).add(i)
+        return {F: frozenset(g) for F, g in groups.items()}
+
+    def _where(self, keep: Callable[[frozenset[int]], bool]) -> frozenset[int]:
+        """The points whose tangible cluster keep accepts."""
+        return frozenset().union(*(g for F, g in self._clusters.items() if keep(F)))
+
+    @cached_property
     def heights(self) -> tuple[int, ...]:
         """For each point j, the longest chain of points ending at j
-        whose tangible clusters strictly shrink at every step.
+        whose tangible clusters strictly shrink at every step: the
+        longest chain of distinct point clusters shrinking to j's own.
 
-        A point below another has fewer points below it, so taking the
-        points by the size of below finishes every step before its top.
+        Every chain of points gives such a chain of clusters.
+        Conversely, let F be a point cluster and start_F = ghostify(R,
+        complement of F).  It is a point, because each search in
+        FiniteNuSemiring._primes outputs its start, and it lies below
+        every point q with iT(q) <= F, because q ghostifies the
+        complement of iT(q), which contains the complement of F.  So
+        for clusters F_0 > ... > F_k = iT(j) the starts of F_0 ..
+        F_(k-1) followed by j are a chain of points ending at j, for a
+        complete spectrum.  Taking the larger clusters first finishes
+        every cluster above F before F.
         """
-        points, below = self.points, self.below
-        heights = [0] * len(points)
-        for j in sorted(range(len(points)), key=lambda j: len(below[j])):
-            heights[j] = max(
-                (heights[i] + 1 for i in below[j] if points[j].iT < points[i].iT),
-                default=0,
-            )
-        return tuple(heights)
+        tall: dict[frozenset[int], int] = {}
+        for F in sorted(self._clusters, key=len, reverse=True):
+            tall[F] = max((h + 1 for G, h in tall.items() if F < G), default=0)
+        return tuple(tall[p.iT] for p in self.points)
 
 
 @dataclass(frozen=True)
@@ -173,7 +196,9 @@ def v_set(
     S: Spectrum, arg: Union[Congruence, Iterable[int]]
 ) -> ZSet:
     """Closed set of the primes containing a congruence or ghostifying
-    a subset of elements."""
+    a subset of elements.  A point ghostifies exactly the elements
+    outside its tangible cluster (the partition lemma in classify), so
+    the elements' V is read from the clusters that miss them."""
     if isinstance(arg, Congruence):
         _require_on(S.carrier, arg)
         members = frozenset(
@@ -181,10 +206,7 @@ def v_set(
         )
         return ZSet(S, members)
     elements = _in_range("carrier element", S.carrier.size, arg)
-    members = frozenset(
-        i for i, p in enumerate(S.points) if elements <= p.iG
-    )
-    return ZSet(S, members)
+    return ZSet(S, S._where(elements.isdisjoint))
 
 
 def d_set(S: Spectrum, f: int) -> ZSet:
@@ -199,8 +221,7 @@ def d_restricted(S: Spectrum, C: Iterable[int], f: int) -> ZSet:
     tangible cluster, the complement of its ghost cluster.
     """
     kept = _in_range("carrier element", S.carrier.size, [*C, f])
-    members = frozenset(i for i, p in enumerate(S.points) if kept <= p.iT)
-    return ZSet(S, members, source=f)
+    return ZSet(S, S._where(kept.issubset), source=f)
 
 
 def _member_indices(S: Spectrum, Y: Union[ZSet, Iterable[int]]) -> frozenset[int]:
@@ -295,10 +316,12 @@ def s_of_f(S: Spectrum, f: int) -> frozenset[int]:
 
     Spanned by the prudent non-ghost-divisors h whose D(h) covers
     D(f) (h lies in every tangible cluster over D(f)), together with
-    all powers of f when f itself is prudent.
+    all powers of f when f itself is prudent.  The points of D(f) are
+    those whose tangible cluster holds f.
     """
     R = S.carrier
-    over_f = [S.points[i].iT for i in d_set(S, f).members]
+    _in_range("carrier element", R.size, [f])
+    over_f = [F for F in S._clusters if f in F]
     base = (R.prudent - R.ghost_divisors()).intersection(*over_f)
     if f in R.prudent:
         base |= R.powers_of(f)

@@ -674,7 +674,7 @@ def test_size_bound_is_checked_before_validity(capsys):
             got, out, err = run(capsys, *argv, "--semiring", json.dumps(obj))
             assert (got, out) == (code, ""), (len(obj["elements"]), argv)
             assert len(err.splitlines()) == 1, argv
-            prefix = "enumeration bound" if code == 4 else "precondition"
+            prefix = "bound exceeded" if code == 4 else "precondition"
             assert err.startswith(prefix), argv
 
 
@@ -700,7 +700,7 @@ def test_only_the_enumerating_verbs_cap_a_valid_carrier(capsys):
         got, out, err = run(capsys, *argv, "--semiring", "str-chain:4")
         if code == 4:
             assert (got, out) == (4, ""), argv
-            assert err.startswith("enumeration bound exceeded"), argv
+            assert err.startswith("bound exceeded"), argv
         else:
             bounded = run(capsys, *argv, "--semiring", "str-chain:4", "--bound", "9")
             assert (got, out, err) == bounded, argv
@@ -715,7 +715,7 @@ def test_spec_stops_an_oversize_carrier_before_validating(capsys, monkeypatch):
     monkeypatch.setattr(congr, "validate", no_validation)
     code, out, err = run(capsys, "spec", "--semiring", f"str-chain:{MAX_CHAIN}")
     assert (code, out) == (4, "")
-    assert err.startswith("enumeration bound exceeded: carrier has 65 elements")
+    assert err.startswith("bound exceeded: carrier has 65 elements")
 
 
 def test_constructed_name_collision_exits_3(capsys):
@@ -900,7 +900,7 @@ def test_exponents_past_the_digit_cap_exit_2(capsys):
     code, out, err = run(capsys, "eval", "x^" + "9" * cap, "3")
     assert (code, out) == (4, "")
     assert err == (
-        f"enumeration bound exceeded: a result has more than {cap} digits to print\n"
+        f"bound exceeded: a result has more than {cap} digits to print\n"
     )
 
 

@@ -133,6 +133,16 @@ def test_pow_matches_repeated_mul():
 def test_pow_matches_stepwise_oracle():
     rng = random.Random(17)
     bases = [p_zero(2), p_const(1, ONE), parse_poly("x + 0v"), parse_poly("1/2v*x + -1/3")]
+    # monomials take p_pow's one-term shortcut: tangible and ghost
+    # coefficients, in one to three variables
+    bases += [
+        make_poly(1, {(2,): rat_t(Fraction(-3, 2))}),
+        make_poly(1, {(0,): rat_g(Fraction(5))}),
+        make_poly(2, {(1, 3): rat_g(Fraction(-1, 3))}),
+        make_poly(2, {(0, 1): ONE}),
+        make_poly(3, {(2, 0, 1): rat_t(Fraction(7, 2))}),
+        make_poly(3, {(1, 1, 1): rat_g(Fraction(0))}),
+    ]
     for nvars in (1, 2, 3):
         for _ in range(15):
             bases.append(rand_poly(rng, nvars, max_deg=2, max_terms=3))

@@ -12,6 +12,7 @@ from supertrop.congr import (
     DEFAULT_BOUND,
     EMPTY_RADICAL,
     FLAG_PRIME,
+    FLAG_TANGLY_MINIMAL,
     FiniteNuSemiring,
     QHom,
     all_pairs,
@@ -67,7 +68,7 @@ from supertrop.spectra import (
 )
 
 import spectra_oracles
-from carrier_corpus import wide_corpus
+from carrier_corpus import idempotent_carrier, wide_corpus
 
 B = superboolean()
 CHAIN2 = str_chain(2)
@@ -357,6 +358,64 @@ def test_order_matches_refines_oracles():
             assert list(S.heights) == heights, R
             assert krull_dim(S) == max(heights, default=-1), R
     assert krull_dim(Spectrum(B, ())) == -1
+
+
+def test_cluster_table_matches_point_scans():
+    # heights, TanglyMinimal, V of elements, D and S(f) read the
+    # distinct tangible clusters; check them against the point scans
+    rng = random.Random(2)
+    base = list(wide_corpus())
+    base += [build(n) for n in range(1, 10) for build in (str_chain, str_trunc)]
+    base += [idempotent_carrier(k) for k in (1, 2, 3)]
+    carriers = []
+    for R in base:
+        perm = list(range(R.size))
+        rng.shuffle(perm)
+        carriers += [R, permute_semiring(R, perm)]
+    dims = set()
+    for R in carriers:
+        S = spec(R, max(R.size, DEFAULT_BOUND))
+        assert S.heights == spectra_oracles.heights_by_order(S), R.names
+        dims.add(krull_dim(S))
+        for p in S.points:
+            assert (FLAG_TANGLY_MINIMAL in S.flags_of(p)) == (
+                spectra_oracles.is_tangly_minimal(S.points, p)
+            ), R.names
+        elements = range(R.size)
+        for E in [(), *itertools.combinations(elements, 1),
+                  *itertools.combinations(elements, 2)]:
+            assert v_set(S, E).members == spectra_oracles.v_of_elements(S, E), R.names
+        for f in elements:
+            for C in ((), (R.one,), rng.sample(elements, rng.randint(1, R.size))):
+                assert d_restricted(S, C, f).members == (
+                    spectra_oracles.d_restricted(S, C, f)
+                ), R.names
+            assert d_set(S, f).members == spectra_oracles.d_restricted(S, (), f)
+            assert s_of_f(S, f) == spectra_oracles.s_of_f(S, f), R.names
+    assert dims == {0, 1, 2, 3}
+
+
+def test_idempotent_carriers_reach_dimension_k():
+    for k, size, points, clusters in ((2, 6, 12, 4), (3, 10, 89, 8)):
+        R = idempotent_carrier(k)
+        assert validate(R).passed
+        S = spec(R, R.size)
+        assert (R.size, len(S.points), len(S._clusters)) == (size, points, clusters)
+        assert krull_dim(S) == k
+
+
+def test_cluster_questions_leave_the_order_unbuilt():
+    for R in (TW, FLAT, str_chain(6), idempotent_carrier(3)):
+        S = spec(R, R.size)
+        krull_dim(S)
+        for f in range(R.size):
+            d_set(S, f)
+            v_set(S, [f])
+            d_restricted(S, [R.one], f)
+            s_of_f(S, f)
+            focal_zone(S, f)
+            sections(S, f)
+        assert "below" not in vars(S), R.names
 
 
 # -- closed sets -----------------------------------------------------------
